@@ -9,10 +9,12 @@
 /// full model, (optionally) identify and pre-train tuning blocks, then
 /// evaluate every configuration of the promising subspace in exploration
 /// order — as the baseline ("default networks") or the composability-
-/// based method ("block-trained networks"). Per-configuration results
-/// feed summarizeExploration(), which replays the paper's multi-node
-/// schedule against an objective to produce Table 3/4/5 rows without
-/// retraining anything.
+/// based method ("block-trained networks"). runPruningPipeline() runs the
+/// subspace as a one-round FixedSubspaceStrategy through the strategy
+/// driver (strategy/Driver.h), the only exploration loop. Per-
+/// configuration results feed summarizeExploration(), which replays the
+/// paper's multi-node schedule against an objective to produce Table
+/// 3/4/5 rows without retraining anything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,23 +55,21 @@ struct EvaluatedConfig {
   std::shared_ptr<AssembledNetwork> Network;
 };
 
-/// How runPruningPipeline schedules pre-training and evaluation.
+/// How a round's block pre-training and evaluations are ordered. Both
+/// schedules run one TaskGraph per round with a task per pending block
+/// group and one per configuration; they differ only in the evaluations'
+/// dependency edges. Every group and every evaluation trains from its own
+/// pre-drawn seed, so without a CancelObjective the two schedules give
+/// bit-identical results for any Workers value.
 enum class PipelineSchedule {
-  /// Pre-train block groups serially (in partition order, exactly like
-  /// the paper's per-node wrapper), then evaluate configurations —
-  /// across Workers when possible. Results are bit-identical to the
-  /// Workers == 1 run because per-configuration seeds are drawn up
-  /// front.
+  /// Pre-train, then evaluate: every evaluation waits for every block
+  /// group of its round.
   EvalOnly,
-  /// Block-ready overlap: block groups and configuration evaluations
-  /// form one dependency graph on the runtime scheduler. An evaluation
-  /// starts as soon as the groups its composite vector draws from are
-  /// trained — early (small) configs fine-tune while unrelated blocks
-  /// still pre-train — and once a finished configuration provably
-  /// satisfies Options.CancelObjective, every not-yet-started
-  /// evaluation that cannot beat it is cancelled. Each group and each
-  /// evaluation gets its own pre-drawn seed, so results are
-  /// deterministic for a given subspace but differ from EvalOnly.
+  /// Block-ready overlap: an evaluation waits only for the groups its
+  /// composite vector draws from, so early (small) configs fine-tune
+  /// while unrelated blocks still pre-train. Once a finished
+  /// configuration provably satisfies Options.CancelObjective, every
+  /// not-yet-started evaluation that cannot beat it is cancelled.
   Overlap,
 };
 
@@ -102,12 +102,12 @@ struct PipelineOptions {
   bool KeepCurves = false;
   /// Worker threads (the in-process substitute for the paper's MPI
   /// ranks). 1 runs serially; 0 means "one per hardware thread";
-  /// negative values are rejected with an error. With the default
-  /// EvalOnly schedule, results are identical for every Workers value
-  /// (per-configuration seeds are drawn up front) — only the
+  /// negative values are rejected with an error. Results are identical
+  /// for every Workers value (seeds are drawn up front; only which
+  /// evaluations a CancelObjective cancels may vary) — only the
   /// per-configuration *timings* change, so keep Workers = 1 when the
   /// measured costs feed summarizeExploration() on an oversubscribed
-  /// machine.
+  /// machine. A failed task stops the run for any Workers value.
   int Workers = 1;
   /// See PipelineSchedule.
   PipelineSchedule Schedule = PipelineSchedule::EvalOnly;
@@ -127,9 +127,8 @@ struct PipelineOptions {
   RunLog *Log = nullptr;
   /// Job-owned cancellation token. When non-null, the run polls it at
   /// task boundaries (group pre-training, each evaluation) and aborts
-  /// with a "job cancelled" error; under the Overlap schedule the
-  /// TaskGraph's fail-fast then cascade-cancels everything not yet
-  /// started. Must outlive the run.
+  /// with a "job cancelled" error; the TaskGraph's fail-fast then
+  /// cascade-cancels everything not yet started. Must outlive the run.
   const CancelToken *Cancel = nullptr;
   /// Keep each evaluation's fine-tuned network in
   /// EvaluatedConfig::Network (memory scales with the subspace; meant
@@ -153,7 +152,11 @@ struct PipelineResult {
   RunTelemetry Telemetry;
 };
 
-/// Runs the pipeline for \p Subspace on \p Data.
+/// Runs the pipeline for \p Subspace on \p Data: a FixedSubspaceStrategy
+/// through runStrategyExploration(), exploring in
+/// Options.CancelObjective's order (smallest first when it is null),
+/// with the evaluations then stored by ascending model size. Fails on an
+/// empty subspace before any training.
 Result<PipelineResult> runPruningPipeline(const ModelSpec &Spec,
                                           const Dataset &Data,
                                           std::vector<PruneConfig> Subspace,

@@ -5,24 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// runStrategyExploration() drives any ExplorationStrategy through the
-/// shared ExplorationEngine: each round it asks the strategy for the
-/// next configurations, chooses and pre-trains the tuning blocks those
-/// proposals are missing (everything already in the store or the
-/// cross-run BlockCache is reused), evaluates the proposals on the
-/// runtime TaskGraph under the configured schedule, and feeds the
-/// results back for the next round — the proposal loop the paper leaves
-/// as future work, running on the same machinery as the fixed-subspace
-/// pipeline.
+/// runStrategyExploration() is the exploration loop — the fixed-subspace
+/// pipeline (runPruningPipeline) is a one-round strategy run through it.
+/// Each round it asks the strategy for the next configurations, chooses
+/// the tuning blocks those proposals are missing (everything already in
+/// the store or the cross-run BlockCache is reused), and runs one
+/// TaskGraph: a task per pending block group and one per proposal, with
+/// the dependency edges the schedule picks (see PipelineSchedule). The
+/// results feed the next round — the proposal loop the paper leaves as
+/// future work.
 ///
-/// Determinism mirrors runPruningPipeline: the engine's preparation
-/// draws first, then per round one pretrainBlocks draw (EvalOnly) or one
-/// base seed expanded per group via pretrainGroupSeed (Overlap), then
-/// one pre-drawn seed per proposal in proposal order. Since strategies
-/// are pure functions of the observed results, a rerun from the same
-/// generator seed reproduces every proposal and every evaluation
-/// bit-exactly — for any Workers value under EvalOnly, and regardless of
-/// how many blocks a warm BlockCache satisfied.
+/// Determinism: the preparation of the full model draws first, then per
+/// round one base seed expanded per block group via pretrainGroupSeed
+/// (composability only), then one pre-drawn seed per proposal in
+/// proposal order. Since strategies are pure functions of the observed
+/// results, a rerun from the same generator seed reproduces every
+/// proposal and every evaluation bit-exactly — for any Workers value and
+/// either schedule, and regardless of how many blocks a warm BlockCache
+/// satisfied. Span names number evaluations ("eval:<N>") and block groups
+/// ("pretrain:g<N>") across the whole run.
 ///
 /// Cancellation: under Overlap with a CancelObjective, once a finished
 /// proposal satisfies the objective the rest of its round is cancelled —
@@ -57,9 +58,9 @@ struct StrategyRoundInfo {
 
 /// Everything a strategy-driven run produced.
 struct StrategyRunResult {
-  /// Shared result shape with runPruningPipeline — except Evaluations
-  /// are in *proposal order* (cancelled entries flagged), not sorted by
-  /// size, and Blocks accumulates every distinct block any round chose.
+  /// The run's results with Evaluations in *proposal order* (cancelled
+  /// entries flagged); Blocks accumulates every distinct block any round
+  /// chose. runPruningPipeline re-sorts the evaluations by size.
   PipelineResult Run;
   int Rounds = 0;
   int Proposals = 0;
@@ -72,9 +73,9 @@ struct StrategyRunResult {
   bool ObjectiveMet = false;
 };
 
-/// Runs \p Strategy to completion on \p Data. \p Options is interpreted
-/// exactly as by runPruningPipeline (schedule, workers, composability,
-/// caches, telemetry, cancellation token); \p Objective picks the winner
+/// Runs \p Strategy to completion on \p Data under \p Options (schedule,
+/// workers, composability, caches, telemetry, cancellation token; a
+/// failed task stops the run); \p Objective picks the winner
 /// and is what adaptive strategies steer toward — pass the same
 /// objective as Options.CancelObjective to also cancel within rounds.
 Result<StrategyRunResult> runStrategyExploration(

@@ -10,8 +10,8 @@ FixedSubspaceStrategy::FixedSubspaceStrategy(
     const ModelSpec &Spec, std::vector<PruneConfig> Subspace,
     const PruningObjective &Objective)
     : Ordered(std::move(Subspace)) {
-  // The identical sort call runPruningPipeline makes, so ties land in the
-  // same order and the bit-exactness guarantee holds.
+  // Ascending size; for a largest-first objective the reverse, so
+  // runPruningPipeline recovers ascending storage by reversing back.
   std::sort(Ordered.begin(), Ordered.end(),
             [&](const PruneConfig &A, const PruneConfig &B) {
               return modelWeightCount(Spec, A) < modelWeightCount(Spec, B);

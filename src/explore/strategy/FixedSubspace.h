@@ -8,10 +8,8 @@
 /// The paper's own exploration as a strategy: one round proposing the
 /// whole enumerated promising subspace in the objective's exploration
 /// order (§6.2 — ascending model size for min-ModelSize, descending for
-/// max-Accuracy), then done. Behavior-preserving: driving this strategy
-/// through runStrategyExploration with the EvalOnly schedule reproduces
-/// runPruningPipeline bit-exactly (same draw order, same per-proposal
-/// seeds).
+/// max-Accuracy), then done. runPruningPipeline is this strategy driven
+/// through runStrategyExploration.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,10 +9,10 @@
 /// pipeline execution — the paper fixes the promising subspace up front
 /// and flags on-the-fly configuration generation as future work (§4);
 /// this interface makes both interchangeable. A strategy is a pure
-/// proposal source: the driver (strategy/Driver.h) asks it for the next
-/// round of configurations, evaluates them through the shared
-/// ExplorationEngine (tuning blocks, TaskGraph scheduling, cancellation),
-/// and feeds every result back before the next round.
+/// proposal source: the driver (strategy/Driver.h), the only exploration
+/// loop, asks it for the next round of configurations, evaluates them
+/// (tuning blocks, TaskGraph scheduling, cancellation), and feeds every
+/// result back before the next round.
 ///
 /// Determinism contract: a strategy must be a pure function of its
 /// construction parameters and the observed-result sequence — no

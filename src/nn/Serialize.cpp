@@ -12,8 +12,7 @@
 
 using namespace wootz;
 
-static const char MagicV1[8] = {'W', 'O', 'O', 'T', 'Z', 'C', 'K', '1'};
-static const char MagicV2[8] = {'W', 'O', 'O', 'T', 'Z', 'C', 'K', '2'};
+static const char Magic[8] = {'W', 'O', 'O', 'T', 'Z', 'C', 'K', '2'};
 
 static void appendU32(std::string &Out, uint32_t Value) {
   for (int I = 0; I < 4; ++I)
@@ -83,7 +82,7 @@ private:
 } // namespace
 
 /// Serializes one entry record (name length, name, rank, extents, data)
-/// — the unit the V2 per-entry CRC covers.
+/// — the unit the per-entry CRC covers.
 static void appendEntryRecord(std::string &Out, const std::string &Name,
                               const Tensor &Value) {
   appendU32(Out, static_cast<uint32_t>(Name.size()));
@@ -95,18 +94,9 @@ static void appendEntryRecord(std::string &Out, const std::string &Name,
   Out.append(reinterpret_cast<const char *>(Value.data()), ByteCount);
 }
 
-std::string wootz::serializeTensors(const TensorBundle &Bundle,
-                                    CheckpointFormat Format) {
+std::string wootz::serializeTensors(const TensorBundle &Bundle) {
   std::string Out;
-  if (Format == CheckpointFormat::V1) {
-    Out.append(MagicV1, sizeof(MagicV1));
-    appendU64(Out, Bundle.size());
-    for (const auto &[Name, Value] : Bundle)
-      appendEntryRecord(Out, Name, Value);
-    return Out;
-  }
-
-  Out.append(MagicV2, sizeof(MagicV2));
+  Out.append(Magic, sizeof(Magic));
   const size_t LengthOffset = Out.size();
   appendU64(Out, 0); // Total length, patched once the size is known.
   appendU64(Out, Bundle.size());
@@ -171,24 +161,20 @@ static Error readEntryRecord(Reader &Cursor, std::string &Name,
 }
 
 Result<TensorBundle> wootz::deserializeTensors(const std::string &Bytes) {
-  if (Bytes.size() < sizeof(MagicV1))
+  if (Bytes.size() < sizeof(Magic))
     return Error::failure("not a wootz checkpoint: too short");
-  const bool V2 = std::memcmp(Bytes.data(), MagicV2, sizeof(MagicV2)) == 0;
-  if (!V2 && std::memcmp(Bytes.data(), MagicV1, sizeof(MagicV1)) != 0)
+  if (std::memcmp(Bytes.data(), Magic, sizeof(Magic)) != 0)
     return Error::failure("not a wootz checkpoint: bad magic");
   Reader Cursor(Bytes);
-  char Skipped[sizeof(MagicV1)];
+  char Skipped[sizeof(Magic)];
   Cursor.readBytes(Skipped, sizeof(Skipped));
-  if (V2) {
-    uint64_t TotalLength = 0;
-    if (!Cursor.readU64(TotalLength))
-      return Error::failure("checkpoint truncated in header");
-    if (TotalLength != Bytes.size())
-      return Error::failure(
-          "checkpoint length mismatch: header says " +
-          std::to_string(TotalLength) + " bytes, file has " +
-          std::to_string(Bytes.size()));
-  }
+  uint64_t TotalLength = 0;
+  if (!Cursor.readU64(TotalLength))
+    return Error::failure("checkpoint truncated in header");
+  if (TotalLength != Bytes.size())
+    return Error::failure("checkpoint length mismatch: header says " +
+                          std::to_string(TotalLength) + " bytes, file has " +
+                          std::to_string(Bytes.size()));
   uint64_t EntryCount = 0;
   if (!Cursor.readU64(EntryCount))
     return Error::failure("checkpoint truncated in header");
@@ -196,21 +182,19 @@ Result<TensorBundle> wootz::deserializeTensors(const std::string &Bytes) {
   TensorBundle Bundle;
   for (uint64_t Entry = 0; Entry < EntryCount; ++Entry) {
     uint32_t ExpectedCrc = 0;
-    if (V2 && !Cursor.readU32(ExpectedCrc))
+    if (!Cursor.readU32(ExpectedCrc))
       return Error::failure("checkpoint truncated before entry checksum");
     const size_t RecordStart = Cursor.offset();
     std::string Name;
     Tensor Value;
     if (Error E = readEntryRecord(Cursor, Name, Value))
       return E;
-    if (V2) {
-      const uint32_t ActualCrc = Cursor.crcSince(RecordStart);
-      if (ActualCrc != ExpectedCrc)
-        return Error::failure("checkpoint entry '" + Name +
-                              "' fails its CRC32 check (stored " +
-                              toHex(ExpectedCrc, 8) + ", computed " +
-                              toHex(ActualCrc, 8) + ")");
-    }
+    const uint32_t ActualCrc = Cursor.crcSince(RecordStart);
+    if (ActualCrc != ExpectedCrc)
+      return Error::failure("checkpoint entry '" + Name +
+                            "' fails its CRC32 check (stored " +
+                            toHex(ExpectedCrc, 8) + ", computed " +
+                            toHex(ActualCrc, 8) + ")");
     if (!Bundle.emplace(std::move(Name), std::move(Value)).second)
       return Error::failure("checkpoint contains a duplicate entry name");
   }

@@ -8,14 +8,12 @@
 /// A minimal binary format mapping names to tensors — the equivalent of
 /// TensorFlow checkpoints the paper stores pre-trained tuning blocks in.
 ///
-/// Two format versions exist. V1 ("WOOTZCK1"): magic, entry count, then
-/// per entry name, rank, extents, data. V2 ("WOOTZCK2", the default
-/// writer output) adds crash/corruption detection: a total-length field
-/// in the header (truncation is caught before any entry is parsed) and a
-/// per-entry CRC32 covering the whole entry record, so any byte flip in
-/// a name, shape, or payload is a clean Error instead of silently wrong
-/// weights. Readers accept both versions; all integers are little-endian
-/// uint32/uint64.
+/// The format ("WOOTZCK2"; all integers little-endian uint32/uint64):
+/// magic, total length, entry count, then per entry a CRC32 and the entry
+/// record (name, rank, extents, data). The length field catches
+/// truncation before any entry is parsed, and the CRC covers the whole
+/// record, so any byte flip in a name, shape, or payload is a clean Error
+/// instead of silently wrong weights.
 ///
 /// Writing to disk goes through writeFileAtomic(), so a save interrupted
 /// at any point leaves either the old or the complete new file under the
@@ -37,19 +35,11 @@ namespace wootz {
 /// A named tensor bundle, the in-memory form of a checkpoint file.
 using TensorBundle = std::map<std::string, Tensor>;
 
-/// On-disk checkpoint format version.
-enum class CheckpointFormat {
-  V1, ///< Legacy: no checksums, no length field. Read-compatibility only.
-  V2, ///< Current: header total-length + per-entry CRC32.
-};
+/// Serializes \p Bundle into a byte string.
+std::string serializeTensors(const TensorBundle &Bundle);
 
-/// Serializes \p Bundle into a byte string (V2 unless asked otherwise;
-/// the V1 writer exists for compatibility tests).
-std::string serializeTensors(const TensorBundle &Bundle,
-                             CheckpointFormat Format = CheckpointFormat::V2);
-
-/// Parses a byte string produced by serializeTensors(), either version.
-/// Truncation, byte flips (V2), oversized or overflowing size fields,
+/// Parses a byte string produced by serializeTensors(). Truncation, byte
+/// flips, oversized or overflowing size fields, other format versions
 /// and trailing garbage all produce an Error, never a crash or a
 /// multi-gigabyte allocation.
 Result<TensorBundle> deserializeTensors(const std::string &Bytes);

@@ -368,81 +368,45 @@ void JobExecutor::runJob(JobRecord &R, const JobSpec &S, ExecState &X) {
 
   Rng Generator(S.Seed);
 
-  // Either the classic fixed-subspace sweep or a strategy-driven round
-  // loop; both land in Outcome plus a winner storage index.
-  PipelineResult Outcome;
-  int WinnerStorage = -1;  ///< Index into Outcome.Evaluations.
-  int WinnerPosition = -1; ///< Exploration position reported to clients.
-  if (S.Strategy == StrategyKind::Fixed) {
-    Result<PipelineResult> Run = runPruningPipeline(
-        S.Spec, Data, S.Subspace, S.Meta, PipeOptions, Generator);
-    if (!Run) {
-      if (X.Token.cancelled()) {
-        finishJob(R, X, JobState::Cancelled, "cancelled while running");
-        return;
-      }
-      finishJob(R, X, JobState::Failed, Run.message());
-      return;
-    }
-    Outcome = Run.take();
-    const ExplorationSummary Summary =
-        summarizeMeasuredRun(Outcome, S.Objective);
-    R.ConfigsEvaluated = Summary.ConfigsEvaluated;
-    R.WinnerSizeFraction = Summary.WinnerSizeFraction;
-    WinnerPosition = Summary.WinnerIndex;
-    if (Summary.WinnerIndex >= 0) {
-      // Exploration position -> storage index (storage ascends model
-      // size; a max-Accuracy objective walks it backwards).
-      const size_t Count = Outcome.Evaluations.size();
-      WinnerStorage = static_cast<int>(
-          S.Objective.exploreSmallestFirst()
-              ? static_cast<size_t>(Summary.WinnerIndex)
-              : Count - 1 - static_cast<size_t>(Summary.WinnerIndex));
-    }
-  } else {
-    StrategyKnobs Knobs;
-    Knobs.Rates = subspaceRateAlphabet(S.Subspace);
-    Knobs.MaxRounds = S.MaxRounds;
-    Knobs.AccuracyMargin = S.AccuracyMargin;
-    Result<std::unique_ptr<ExplorationStrategy>> Strategy =
-        makeStrategy(S.Strategy, S.Spec, S.Subspace, S.Objective, Knobs);
-    if (!Strategy) {
-      finishJob(R, X, JobState::Failed, Strategy.message());
-      return;
-    }
-    Result<StrategyRunResult> Run =
-        runStrategyExploration(S.Spec, Data, **Strategy, S.Meta,
-                               PipeOptions, S.Objective, Generator);
-    if (!Run) {
-      if (X.Token.cancelled()) {
-        finishJob(R, X, JobState::Cancelled, "cancelled while running");
-        return;
-      }
-      finishJob(R, X, JobState::Failed, Run.message());
-      return;
-    }
-    R.Rounds = Run->Rounds;
-    R.Proposals = Run->Proposals;
-    Outcome = std::move(Run->Run);
-    for (const EvaluatedConfig &E : Outcome.Evaluations)
-      if (!E.Cancelled)
-        ++R.ConfigsEvaluated;
-    // Strategy results are stored in proposal order, so the storage
-    // index is also the position clients see.
-    WinnerStorage = Run->WinnerIndex;
-    WinnerPosition = Run->WinnerIndex;
-    if (WinnerStorage >= 0)
-      R.WinnerSizeFraction =
-          Outcome.Evaluations[static_cast<size_t>(WinnerStorage)]
-              .SizeFraction;
+  // Every strategy, the fixed subspace included, runs through the
+  // strategy driver.
+  StrategyKnobs Knobs;
+  Knobs.Rates = subspaceRateAlphabet(S.Subspace);
+  Knobs.MaxRounds = S.MaxRounds;
+  Knobs.AccuracyMargin = S.AccuracyMargin;
+  Result<std::unique_ptr<ExplorationStrategy>> Strategy =
+      makeStrategy(S.Strategy, S.Spec, S.Subspace, S.Objective, Knobs);
+  if (!Strategy) {
+    finishJob(R, X, JobState::Failed, Strategy.message());
+    return;
   }
-
+  Result<StrategyRunResult> Run =
+      runStrategyExploration(S.Spec, Data, **Strategy, S.Meta, PipeOptions,
+                             S.Objective, Generator);
+  if (!Run) {
+    if (X.Token.cancelled()) {
+      finishJob(R, X, JobState::Cancelled, "cancelled while running");
+      return;
+    }
+    finishJob(R, X, JobState::Failed, Run.message());
+    return;
+  }
+  R.Rounds = Run->Rounds;
+  R.Proposals = Run->Proposals;
+  const PipelineResult &Outcome = Run->Run;
+  for (const EvaluatedConfig &E : Outcome.Evaluations)
+    if (!E.Cancelled)
+      ++R.ConfigsEvaluated;
+  // Results are stored in proposal order, which for the fixed subspace
+  // is the exploration order: the index is also the position clients
+  // see.
   R.FullAccuracy = Outcome.FullAccuracy;
-  R.WinnerIndex = WinnerPosition;
+  R.WinnerIndex = Run->WinnerIndex;
 
-  if (WinnerStorage >= 0) {
+  if (R.WinnerIndex >= 0) {
     const EvaluatedConfig &Winner =
-        Outcome.Evaluations[static_cast<size_t>(WinnerStorage)];
+        Outcome.Evaluations[static_cast<size_t>(R.WinnerIndex)];
+    R.WinnerSizeFraction = Winner.SizeFraction;
     R.WinnerAccuracy = Winner.FinalAccuracy;
     // Freeze the winner into a static inference plan and persist the
     // compiler's decisions (step list, fusions, arena layout) next to
@@ -473,7 +437,7 @@ void JobExecutor::runJob(JobRecord &R, const JobSpec &S, ExecState &X) {
     }
     finishJob(R, X, JobState::Done,
               "winner at exploration position " +
-                  std::to_string(WinnerPosition));
+                  std::to_string(R.WinnerIndex));
     return;
   }
   finishJob(R, X, JobState::Done, "no configuration met the objective");

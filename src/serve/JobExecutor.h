@@ -7,9 +7,9 @@
 /// \file
 /// The execution half of the serve job path: worker threads that claim
 /// jobs from a JobQueue, re-parse the submission body into a JobSpec,
-/// and run runPruningPipeline / runStrategyExploration with a per-job
-/// RunLog (live counters for GET /v1/jobs/<id>) and CancelToken. The
-/// executor also owns the durable-mode maintenance thread: it polls the
+/// and run runStrategyExploration (every strategy, the fixed subspace
+/// included) with a per-job RunLog (live counters for GET
+/// /v1/jobs/<id>) and CancelToken. The executor also owns the durable-mode maintenance thread: it polls the
 /// queue for foreign journals, heartbeats claim leases and the artifact
 /// store's process registration, and propagates cancel markers written
 /// by peer processes into local cancel tokens.

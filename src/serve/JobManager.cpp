@@ -110,9 +110,9 @@ std::string JobManager::jobJson(const JobRecord &R,
   if (!R.Message.empty())
     Out.field("message", R.Message);
   if (R.State == JobState::Done) {
-    if (R.StrategyName != "fixed")
-      Out.field("rounds", R.Rounds).field("proposals", R.Proposals);
-    Out.field("configs_evaluated", R.ConfigsEvaluated)
+    Out.field("rounds", R.Rounds)
+        .field("proposals", R.Proposals)
+        .field("configs_evaluated", R.ConfigsEvaluated)
         .field("winner_index", R.WinnerIndex)
         .field("winner_accuracy", R.WinnerAccuracy, 6)
         .field("winner_size_fraction", R.WinnerSizeFraction, 6)

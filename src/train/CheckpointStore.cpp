@@ -12,8 +12,7 @@
 
 using namespace wootz;
 
-/// Manifest version written by saveTo(). Version 1 was the bare TSV
-/// "MANIFEST" file; version 2 is JSONL with a typed header line.
+/// Manifest version written by saveTo(): JSONL with a typed header line.
 static constexpr int ManifestVersion = 2;
 
 std::string wootz::sanitizeCheckpointKey(const std::string &Key) {
@@ -181,36 +180,15 @@ parseJsonManifest(const std::string &Text) {
   return Entries;
 }
 
-/// Parses the legacy bare-TSV MANIFEST (version 1 directories).
-static Result<std::vector<std::pair<std::string, std::string>>>
-parseTsvManifest(const std::string &Text) {
-  std::vector<std::pair<std::string, std::string>> Entries;
-  for (const std::string &Line : splitLines(Text)) {
-    if (trim(Line).empty())
-      continue;
-    const size_t Tab = Line.find('\t');
-    if (Tab == std::string::npos)
-      return Error::failure("malformed manifest line '" + Line + "'");
-    Entries.emplace_back(Line.substr(0, Tab), Line.substr(Tab + 1));
-  }
-  return Entries;
-}
-
 Result<CheckpointLoadReport>
 CheckpointStore::loadFrom(const std::string &Directory,
                           CheckpointLoadMode Mode) {
-  using ManifestEntries = std::vector<std::pair<std::string, std::string>>;
-  Result<ManifestEntries> Entries = [&]() -> Result<ManifestEntries> {
-    Result<std::string> Json = readFile(Directory + "/MANIFEST.json");
-    if (Json)
-      return parseJsonManifest(*Json);
-    Result<std::string> Tsv = readFile(Directory + "/MANIFEST");
-    if (Tsv)
-      return parseTsvManifest(*Tsv);
-    return Error::failure(
-        "cannot read a manifest (MANIFEST.json or MANIFEST) in '" +
-        Directory + "'");
-  }();
+  Result<std::string> Manifest = readFile(Directory + "/MANIFEST.json");
+  if (!Manifest)
+    return Error::failure("cannot read MANIFEST.json in '" + Directory +
+                          "'");
+  Result<std::vector<std::pair<std::string, std::string>>> Entries =
+      parseJsonManifest(*Manifest);
   if (!Entries)
     return Entries.takeError();
 

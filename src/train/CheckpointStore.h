@@ -18,8 +18,7 @@
 /// another. The store works purely in memory and can mirror itself to a
 /// directory on disk: one atomic-renamed WOOTZCK2 file per bundle plus a
 /// versioned JSON manifest ("MANIFEST.json", one object per line)
-/// mapping keys to files. Legacy directories with the old TSV MANIFEST
-/// are still readable.
+/// mapping keys to files.
 ///
 /// The store is thread-safe: block groups pre-trained concurrently by the
 /// runtime scheduler capture into one shared store, and fine-tune tasks
@@ -95,10 +94,10 @@ public:
   /// a MANIFEST.json mapping keys to files.
   Error saveTo(const std::string &Directory) const;
 
-  /// Loads the bundles listed in "<Directory>/MANIFEST.json" (or the
-  /// legacy TSV "MANIFEST"). A failure Result means the manifest itself
-  /// was unreadable; per-entry failures (missing, truncated, corrupt
-  /// files) are accumulated in the report instead of aborting the load.
+  /// Loads the bundles listed in "<Directory>/MANIFEST.json". A failure
+  /// Result means the manifest itself was unreadable; per-entry failures
+  /// (missing, truncated, corrupt files) are accumulated in the report
+  /// instead of aborting the load.
   Result<CheckpointLoadReport>
   loadFrom(const std::string &Directory,
            CheckpointLoadMode Mode = CheckpointLoadMode::Merge);

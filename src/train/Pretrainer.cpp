@@ -96,6 +96,25 @@ Result<GroupPretrainStats> wootz::pretrainGroup(
   return Stats;
 }
 
+PendingGroups wootz::pendingBlockGroups(const std::vector<TuningBlock> &Blocks,
+                                       CheckpointStore &Store,
+                                       BlockCache *Cache, uint64_t BaseSeed) {
+  std::vector<TuningBlock> Pending;
+  for (const TuningBlock &Block : Blocks) {
+    if (Block.isIdentity() || Store.contains(Block.id()))
+      continue;
+    if (Cache && Cache->fetch(Block.id(), Store))
+      continue;
+    Pending.push_back(Block);
+  }
+  PendingGroups Out;
+  Out.BlockCount = static_cast<int>(Pending.size());
+  Out.Groups = partitionIntoGroups(std::move(Pending));
+  for (const std::vector<TuningBlock> &Group : Out.Groups)
+    Out.Seeds.push_back(pretrainGroupSeed(BaseSeed, Group));
+  return Out;
+}
+
 Result<PretrainStats> wootz::pretrainBlocks(
     const MultiplexingModel &Model, Graph &FullTrained,
     const std::string &FullPrefix, const std::vector<TuningBlock> &Blocks,
@@ -108,34 +127,20 @@ Result<PretrainStats> wootz::pretrainBlocks(
   // Drawn unconditionally so the caller's generator advances the same
   // whether every block trains, some load from the cache, or none are
   // pending — a warm run must reproduce the cold run's later draws.
-  const uint64_t BaseSeed = Generator.next();
-
-  // Identity blocks reuse the teacher's weights; already-stored blocks
-  // are shared across calls (the cross-network reuse the paper banks
-  // on); blocks found in the cross-run cache load from disk instead of
-  // training.
-  std::vector<TuningBlock> Pending;
-  for (const TuningBlock &Block : Blocks) {
-    if (Block.isIdentity() || Store.contains(Block.id()))
-      continue;
-    if (Cache && Cache->fetch(Block.id(), Store))
-      continue;
-    Pending.push_back(Block);
-  }
-  Stats.BlockCount = static_cast<int>(Pending.size());
-  if (Pending.empty())
+  const PendingGroups Pending =
+      pendingBlockGroups(Blocks, Store, Cache, Generator.next());
+  Stats.BlockCount = Pending.BlockCount;
+  Stats.GroupCount = static_cast<int>(Pending.Groups.size());
+  if (Pending.Groups.empty())
     return Stats;
 
-  const std::vector<std::vector<TuningBlock>> Groups =
-      partitionIntoGroups(std::move(Pending));
-  Stats.GroupCount = static_cast<int>(Groups.size());
-
-  for (size_t GroupIndex = 0; GroupIndex < Groups.size(); ++GroupIndex) {
+  for (size_t GroupIndex = 0; GroupIndex < Pending.Groups.size();
+       ++GroupIndex) {
     const double StartAt = Log ? Log->now() : 0.0;
-    Rng GroupGen(pretrainGroupSeed(BaseSeed, Groups[GroupIndex]));
-    Result<GroupPretrainStats> GroupStats =
-        pretrainGroup(Model, FullTrained, FullPrefix, Groups[GroupIndex],
-                      Data, Meta, Store, GroupGen, Scores, Cache);
+    Rng GroupGen(Pending.Seeds[GroupIndex]);
+    Result<GroupPretrainStats> GroupStats = pretrainGroup(
+        Model, FullTrained, FullPrefix, Pending.Groups[GroupIndex], Data,
+        Meta, Store, GroupGen, Scores, Cache);
     if (!GroupStats)
       return GroupStats.takeError();
     if (Log) {

@@ -32,7 +32,9 @@ namespace wootz {
 struct PretrainStats {
   int BlockCount = 0;
   int GroupCount = 0;
-  double Seconds = 0.0; ///< Total wall-clock pre-training time.
+  /// Pre-training seconds: pretrainBlocks' wall clock (cache fetches
+  /// included); in an exploration run, the sum of group seconds.
+  double Seconds = 0.0;
   /// Wall-clock seconds per group, for the multi-node schedule
   /// simulation (groups are distributed round-robin over nodes).
   std::vector<double> GroupSeconds;
@@ -78,15 +80,33 @@ pretrainGroup(const MultiplexingModel &Model, Graph &FullTrained,
 uint64_t pretrainGroupSeed(uint64_t BaseSeed,
                            const std::vector<TuningBlock> &Group);
 
+/// The block groups a run still has to pre-train, each with its seed.
+struct PendingGroups {
+  /// Non-overlapping groups, in partitionIntoGroups() order.
+  std::vector<std::vector<TuningBlock>> Groups;
+  /// Seeds[G] is pretrainGroupSeed(BaseSeed, Groups[G]).
+  std::vector<uint64_t> Seeds;
+  int BlockCount = 0; ///< Blocks across all groups.
+};
+
+/// Selects what \p Blocks still needs pre-training and seeds it: identity
+/// blocks reuse the teacher's weights, blocks already in \p Store are
+/// shared (the cross-network reuse the paper banks on), and blocks found
+/// in \p Cache load from disk into \p Store instead of training. The
+/// rest is partitioned into groups, each seeded from \p BaseSeed.
+PendingGroups pendingBlockGroups(const std::vector<TuningBlock> &Blocks,
+                                 CheckpointStore &Store, BlockCache *Cache,
+                                 uint64_t BaseSeed);
+
 /// Pre-trains \p Blocks with \p FullTrained (nodes "<FullPrefix>/...")
 /// as the teacher and stores each trained block in \p Store under its
 /// canonical id. Identity blocks are skipped (they reuse the teacher's
 /// weights directly). Blocks are initialized by weight inheritance
 /// before training — ranked by \p Scores when given, by l1 norms
-/// otherwise. Groups run serially, in partition order; exactly one
-/// value is drawn from \p Generator (cached or empty pending sets draw
-/// the same), and each group trains on its own pretrainGroupSeed()
-/// stream, so skipping blocks never shifts the caller's later draws.
+/// otherwise. The pending groups come from pendingBlockGroups() and run
+/// serially, in partition order; exactly one value is drawn from
+/// \p Generator (cached or empty pending sets draw the same), so
+/// skipping blocks never shifts the caller's later draws.
 /// When \p Log is given each group is recorded as a "pretrain:g<index>"
 /// span. When \p Cache is given, blocks already in the cross-run cache
 /// are fetched instead of trained (they do not count toward

@@ -3,7 +3,7 @@
 // The crash-safety and corruption-tolerance contract of the persistence
 // layer: a WOOTZCK2 checkpoint truncated at any offset or with any byte
 // flipped parses to a clean Error (never a crash or a huge allocation),
-// v1 files remain readable, saves are atomic under the final name, a
+// so do the legacy formats, saves are atomic under the final name, a
 // corrupt store entry is skipped-and-reported rather than aborting the
 // load, and the cross-run BlockCache turns all of it into hits, misses,
 // quarantines, and LRU evictions.
@@ -96,10 +96,10 @@ TEST(CheckpointFormatTest, TruncationAtEveryOffsetIsACleanError) {
 }
 
 TEST(CheckpointFormatTest, Everysingle_ByteFlipIsACleanError) {
-  // The v2 CRC32 covers each whole entry record and the header carries
+  // The CRC32 covers each whole entry record and the header carries
   // the total length, so no single-byte flip anywhere in the file may
   // survive: not in the magic, the counts, a name, a shape, or the
-  // payload. (In v1 a payload flip was silently wrong weights.)
+  // payload.
   const std::string Pristine = serializeTensors(smallBundle());
   for (size_t Offset = 0; Offset < Pristine.size(); ++Offset) {
     for (unsigned char Flip : {0x01, 0x80}) {
@@ -116,27 +116,15 @@ TEST(CheckpointFormatTest, Everysingle_ByteFlipIsACleanError) {
 
 TEST(CheckpointFormatTest, TrailingGarbageIsRejected) {
   std::string Bytes = serializeTensors(smallBundle());
-  // Appending bytes breaks the header's total length...
+  // Appending bytes breaks the header's total length.
   EXPECT_FALSE(static_cast<bool>(deserializeTensors(Bytes + "xyz")));
-  // ...and a v1 file with trailing garbage is rejected by the
-  // cursor-at-end check.
-  std::string V1 = serializeTensors(smallBundle(), CheckpointFormat::V1);
-  EXPECT_FALSE(static_cast<bool>(deserializeTensors(V1 + "x")));
-}
-
-TEST(CheckpointFormatTest, V1FilesRemainReadable) {
-  const std::string V1 = serializeTensors(smallBundle(), CheckpointFormat::V1);
-  ASSERT_EQ(V1.substr(0, 8), "WOOTZCK1");
-  Result<TensorBundle> Loaded = deserializeTensors(V1);
-  ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.message();
-  EXPECT_TRUE(bundlesEqual(smallBundle(), *Loaded));
 }
 
 TEST(CheckpointFormatTest, HugeSizeFieldsDoNotAllocate) {
   // A corrupt 4-byte field must not trigger a multi-GB std::string or
   // Tensor allocation; both length fields are validated against the
-  // bytes actually remaining first. Craft v1 records by hand (v1 has no
-  // CRC, so the size fields themselves are reachable).
+  // bytes actually remaining first — before the entry's CRC is checked,
+  // so a hand-crafted record with a zero CRC reaches them.
   auto appendU32 = [](std::string &Out, uint32_t Value) {
     for (int I = 0; I < 4; ++I)
       Out.push_back(static_cast<char>((Value >> (8 * I)) & 0xff));
@@ -145,40 +133,46 @@ TEST(CheckpointFormatTest, HugeSizeFieldsDoNotAllocate) {
     for (int I = 0; I < 8; ++I)
       Out.push_back(static_cast<char>((Value >> (8 * I)) & 0xff));
   };
+  // Magic, total length, one entry, its CRC, then \p Record; the length
+  // field is filled in so only the record's own fields are wrong.
+  auto checkpoint = [&](const std::string &Record) {
+    std::string Out = "WOOTZCK2";
+    appendU64(Out, 8 + 8 + 8 + 4 + Record.size());
+    appendU64(Out, 1);
+    appendU32(Out, 0);
+    return Out + Record;
+  };
 
   // Name length 0xffffffff.
-  std::string HugeName = "WOOTZCK1";
-  appendU64(HugeName, 1);
+  std::string HugeName;
   appendU32(HugeName, 0xffffffffu);
   HugeName += "ab";
-  Result<TensorBundle> R1 = deserializeTensors(HugeName);
+  Result<TensorBundle> R1 = deserializeTensors(checkpoint(HugeName));
   ASSERT_FALSE(static_cast<bool>(R1));
   EXPECT_NE(R1.message().find("exceeds the remaining"), std::string::npos)
       << R1.message();
 
   // Rank-4 extents whose product overflows even uint64 bytes.
-  std::string HugeDims = "WOOTZCK1";
-  appendU64(HugeDims, 1);
+  std::string HugeDims;
   appendU32(HugeDims, 1);
   HugeDims += "x";
   appendU32(HugeDims, 4); // rank
   for (int Axis = 0; Axis < 4; ++Axis)
     appendU32(HugeDims, 0x7fffffffu);
-  Result<TensorBundle> R2 = deserializeTensors(HugeDims);
+  Result<TensorBundle> R2 = deserializeTensors(checkpoint(HugeDims));
   ASSERT_FALSE(static_cast<bool>(R2));
   EXPECT_NE(R2.message().find("overflow"), std::string::npos)
       << R2.message();
 
   // A large-but-not-overflowing product must still be rejected against
   // the remaining byte count, not allocated.
-  std::string BigTensor = "WOOTZCK1";
-  appendU64(BigTensor, 1);
+  std::string BigTensor;
   appendU32(BigTensor, 1);
   BigTensor += "y";
   appendU32(BigTensor, 2);
   appendU32(BigTensor, 65536);
   appendU32(BigTensor, 65536); // 16 GiB payload claimed, 0 bytes present.
-  Result<TensorBundle> R3 = deserializeTensors(BigTensor);
+  Result<TensorBundle> R3 = deserializeTensors(checkpoint(BigTensor));
   ASSERT_FALSE(static_cast<bool>(R3));
   EXPECT_NE(R3.message().find("claims"), std::string::npos) << R3.message();
 }
@@ -276,18 +270,30 @@ TEST(CheckpointStoreDiskTest, WritesVersionedJsonManifest) {
   EXPECT_TRUE(Loaded.contains("a:b"));
 }
 
-TEST(CheckpointStoreDiskTest, LegacyTsvManifestRemainsReadable) {
+TEST(CheckpointStoreDiskTest, LegacyFormatsAreCleanErrors) {
+  // The pre-CRC formats are no longer read: a "WOOTZCK1" file and a
+  // directory holding only the old TSV manifest each fail with an Error.
+  Result<TensorBundle> V1 =
+      deserializeTensors(std::string("WOOTZCK1") + std::string(8, '\0'));
+  ASSERT_FALSE(static_cast<bool>(V1));
+  EXPECT_NE(V1.message().find("bad magic"), std::string::npos)
+      << V1.message();
+
   ScratchDir Dir("wootz_tsv_manifest_test");
-  const std::string V1 = serializeTensors(smallBundle(), CheckpointFormat::V1);
-  ASSERT_FALSE(static_cast<bool>(writeFile(Dir.file("legacy.ckpt"), V1)));
+  CheckpointStore Saved;
+  Saved.insert("old@key", smallBundle());
+  ASSERT_FALSE(static_cast<bool>(Saved.saveTo(Dir.str())));
+  const std::string File = checkpointFileName("old@key");
+  std::filesystem::remove(Dir.file("MANIFEST.json"));
   ASSERT_FALSE(static_cast<bool>(
-      writeFile(Dir.file("MANIFEST"), "old@key\tlegacy.ckpt\n")));
+      writeFile(Dir.file("MANIFEST"), "old@key\t" + File + "\n")));
 
   CheckpointStore Store;
   Result<CheckpointLoadReport> Report = Store.loadFrom(Dir.str());
-  ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
-  EXPECT_EQ(Report->Loaded, 1);
-  EXPECT_TRUE(Store.contains("old@key"));
+  ASSERT_FALSE(static_cast<bool>(Report));
+  EXPECT_NE(Report.message().find("MANIFEST.json"), std::string::npos)
+      << Report.message();
+  EXPECT_FALSE(Store.contains("old@key"));
 }
 
 TEST(CheckpointStoreDiskTest, CorruptEntryIsReportedNotFatal) {

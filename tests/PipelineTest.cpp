@@ -1,10 +1,11 @@
 //===- tests/PipelineTest.cpp - runtime-scheduled pipeline tests ------------===//
 //
 // Exercises the pipeline on the runtime scheduler: Workers validation,
-// telemetry capture, and the Overlap schedule's two headline properties —
-// block-ready overlap (a fine-tune starts before the last block group
-// finishes) and frontier cancellation (once a configuration provably
-// satisfies the objective, later evaluations are cancelled).
+// telemetry capture, EvalOnly and Overlap agreeing bit for bit without a
+// cancellation objective, and the Overlap schedule's two headline
+// properties — block-ready overlap (a fine-tune starts before the last
+// block group finishes) and frontier cancellation (once a configuration
+// provably satisfies the objective, later evaluations are cancelled).
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,6 +126,77 @@ TEST_F(RuntimePipelineFixture, EvalOnlyRunRecordsTelemetry) {
   EXPECT_NE(Contents.str().find("\"type\":\"counters\""),
             std::string::npos);
   std::remove(Path.c_str());
+}
+
+TEST_F(RuntimePipelineFixture, SchedulesAgreeWithoutCancellation) {
+  // EvalOnly and Overlap differ only in when a configuration may start:
+  // both draw one base seed for the block groups, partition them the
+  // same way and pre-draw one seed per configuration. Without a
+  // cancellation objective every configuration runs, so the two
+  // schedules must agree bit for bit, for any worker count and either
+  // way of choosing blocks. The identifier needs rate sequences that
+  // recur across configurations to find multi-module blocks.
+  ASSERT_GE(Spec.moduleCount(), 4);
+  auto Config = [&](float R0, float R1, float R2, float R3) {
+    PruneConfig C(Spec.moduleCount(), 0.0f);
+    C[0] = R0;
+    C[1] = R1;
+    C[2] = R2;
+    C[3] = R3;
+    return C;
+  };
+  const std::vector<PruneConfig> Recurring = {
+      Config(0.5f, 0.5f, 0.3f, 0.0f), Config(0.5f, 0.5f, 0.0f, 0.3f),
+      Config(0.3f, 0.5f, 0.5f, 0.0f), Config(0.7f, 0.7f, 0.5f, 0.5f),
+      Config(0.0f, 0.7f, 0.7f, 0.0f), Config(0.3f, 0.7f, 0.7f, 0.3f)};
+  for (bool UseIdentifier : {false, true}) {
+    const std::vector<PruneConfig> &Configs =
+        UseIdentifier ? Recurring : Subspace;
+    std::vector<PipelineResult> Runs;
+    for (PipelineSchedule Schedule :
+         {PipelineSchedule::EvalOnly, PipelineSchedule::Overlap})
+      for (int Workers : {1, 4}) {
+        PipelineOptions Options;
+        Options.UseComposability = true;
+        Options.UseIdentifier = UseIdentifier;
+        Options.Schedule = Schedule;
+        Options.Workers = Workers;
+        Rng Generator(61);
+        Result<PipelineResult> Run =
+            runPruningPipeline(Spec, Data, Configs, Meta, Options, Generator);
+        ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
+        Runs.push_back(Run.take());
+      }
+    const PipelineResult &Reference = Runs.front();
+    ASSERT_EQ(Reference.Evaluations.size(), Configs.size());
+    ASSERT_GT(Reference.Pretrain.GroupCount, 1);
+    if (UseIdentifier) {
+      size_t MultiModule = 0;
+      for (const TuningBlock &Block : Reference.Blocks)
+        MultiModule += Block.moduleCount() > 1;
+      ASSERT_GT(MultiModule, 0u);
+    }
+    for (size_t R = 1; R < Runs.size(); ++R) {
+      SCOPED_TRACE("identifier " + std::to_string(UseIdentifier) +
+                   ", run " + std::to_string(R));
+      const PipelineResult &Run = Runs[R];
+      EXPECT_EQ(Run.Pretrain.BlockCount, Reference.Pretrain.BlockCount);
+      EXPECT_EQ(Run.Pretrain.GroupCount, Reference.Pretrain.GroupCount);
+      EXPECT_EQ(Run.Pretrain.FirstLoss, Reference.Pretrain.FirstLoss);
+      EXPECT_EQ(Run.Pretrain.LastLoss, Reference.Pretrain.LastLoss);
+      ASSERT_EQ(Run.Evaluations.size(), Reference.Evaluations.size());
+      for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
+        const EvaluatedConfig &A = Run.Evaluations[I];
+        const EvaluatedConfig &B = Reference.Evaluations[I];
+        EXPECT_FALSE(A.Cancelled) << "config " << I;
+        EXPECT_EQ(A.Config, B.Config) << "config " << I;
+        EXPECT_EQ(A.WeightCount, B.WeightCount) << "config " << I;
+        EXPECT_EQ(A.InitAccuracy, B.InitAccuracy) << "config " << I;
+        EXPECT_EQ(A.FinalAccuracy, B.FinalAccuracy) << "config " << I;
+        EXPECT_EQ(A.StepsToBest, B.StepsToBest) << "config " << I;
+      }
+    }
+  }
 }
 
 TEST_F(RuntimePipelineFixture, OverlapScheduleOverlapsAndCancels) {

@@ -1,11 +1,12 @@
 //===- tests/StrategyTest.cpp - exploration-strategy tests ------------------===//
 //
 // Covers the explore/strategy/ subsystem: name parsing (unknown names
-// list the valid ones), the behavior-preservation guarantee (driving
-// FixedSubspaceStrategy reproduces runPruningPipeline bit-exactly), the
-// determinism contract (replaying any strategy against the recorded
-// observation sequence proposes identical configurations; EvalOnly runs
-// are bit-identical for any Workers value), the adaptive explorer under
+// list the valid ones), what runPruningPipeline adds on top of the
+// driver (ascending-size storage, exploration position to storage index,
+// the baseline without blocks), the determinism contract (replaying any
+// strategy against the recorded observation sequence proposes identical
+// configurations; EvalOnly runs are bit-identical for any Workers value;
+// block groups are numbered across rounds), the adaptive explorer under
 // the Overlap schedule (within-round cancellation; a warm BlockCache
 // rerun pre-trains nothing yet reproduces the cold run bit-exactly),
 // and the serve job API's strategy/criterion plumbing.
@@ -20,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 using namespace wootz;
@@ -197,37 +200,94 @@ void expectIdenticalEvaluations(const std::vector<EvaluatedConfig> &A,
   }
 }
 
-TEST_F(StrategyDriverFixture, FixedDriverMatchesClassicPipeline) {
-  const PipelineOptions Options = evalOnlyOptions();
+/// Expects \p Run to store exactly the configurations of \p Subspace, in
+/// ascending model size.
+void expectAscendingStorage(const PipelineResult &Run,
+                            const std::vector<PruneConfig> &Subspace) {
+  ASSERT_EQ(Run.Evaluations.size(), Subspace.size());
+  std::vector<PruneConfig> Stored;
+  for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
+    Stored.push_back(Run.Evaluations[I].Config);
+    if (I > 0) {
+      EXPECT_LE(Run.Evaluations[I - 1].WeightCount,
+                Run.Evaluations[I].WeightCount)
+          << "storage index " << I;
+    }
+  }
+  std::vector<PruneConfig> Expected = Subspace;
+  std::sort(Stored.begin(), Stored.end());
+  std::sort(Expected.begin(), Expected.end());
+  EXPECT_EQ(Stored, Expected);
+}
 
-  Rng ClassicGen(17);
-  Result<PipelineResult> Classic = runPruningPipeline(
-      Spec, Data, Subspace, Meta, Options, ClassicGen);
-  ASSERT_TRUE(static_cast<bool>(Classic)) << Classic.message();
+TEST_F(StrategyDriverFixture, PipelineStoresBySizeAndMapsPositions) {
+  // runPruningPipeline runs the fixed subspace through the strategy
+  // driver, which reports proposals in exploration order, and stores
+  // the evaluations by ascending model size. A max-Accuracy objective
+  // explores largest-first, so exploration position P lives at storage
+  // index Count - 1 - P.
+  PruningObjective MaxAccuracy;
+  MaxAccuracy.Optimize = Metric::Accuracy;
+  MaxAccuracy.Minimize = false;
+  ASSERT_FALSE(MaxAccuracy.exploreSmallestFirst());
 
-  FixedSubspaceStrategy Strategy(Spec, Subspace, Objective);
-  Rng DriverGen(17);
-  Result<StrategyRunResult> Driven = runStrategyExploration(
-      Spec, Data, Strategy, Meta, Options, Objective, DriverGen);
-  ASSERT_TRUE(static_cast<bool>(Driven)) << Driven.message();
+  PipelineOptions Options;
+  Options.UseComposability = true;
+  Options.Schedule = PipelineSchedule::Overlap;
+  Options.Workers = 1;
+  Options.CancelObjective = &MaxAccuracy;
+  Rng Generator(17);
+  Result<PipelineResult> Run =
+      runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator);
+  ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
+  expectAscendingStorage(*Run, Subspace);
 
-  // min-ModelSize explores ascending size — exactly the pipeline's
-  // storage order — so the two runs align index by index, bit by bit.
-  EXPECT_EQ(Driven->Run.FullAccuracy, Classic->FullAccuracy);
-  EXPECT_EQ(Driven->Run.FullWeightCount, Classic->FullWeightCount);
-  expectIdenticalEvaluations(Driven->Run.Evaluations, Classic->Evaluations);
-  EXPECT_EQ(Driven->Rounds, 1);
-  EXPECT_EQ(static_cast<size_t>(Driven->Proposals), Subspace.size());
-  EXPECT_EQ(Driven->Run.Telemetry.counter("strategy.rounds"), 1);
-  EXPECT_EQ(static_cast<size_t>(
-                Driven->Run.Telemetry.counter("strategy.proposals")),
-            Subspace.size());
+  // The unconstrained objective is met by the first configuration
+  // explored, the largest; one worker runs it before anything else it
+  // could race, and it cancels every other evaluation.
+  const size_t Count = Subspace.size();
+  for (size_t I = 0; I + 1 < Count; ++I)
+    EXPECT_TRUE(Run->Evaluations[I].Cancelled) << "storage index " << I;
+  EXPECT_FALSE(Run->Evaluations.back().Cancelled);
+  EXPECT_GT(Run->Evaluations.back().FinalAccuracy, 0.0);
+  const ExplorationSummary Summary = summarizeMeasuredRun(*Run, MaxAccuracy);
+  EXPECT_EQ(Summary.ConfigsEvaluated, 1);
+  EXPECT_EQ(Summary.WinnerIndex, 0);
+  EXPECT_EQ(Summary.WinnerSizeFraction,
+            Run->Evaluations.back().SizeFraction);
+  // The span of exploration position 0 is the one that ran.
+  size_t DoneEvals = 0;
+  for (const SpanEvent &Span : Run->Telemetry.Spans)
+    if (Span.Kind == "eval" && Span.Status == "done") {
+      ++DoneEvals;
+      EXPECT_EQ(Span.Name, "eval:0");
+    }
+  EXPECT_EQ(DoneEvals, 1u);
+}
 
-  // Both pick the same winner (the driver reports proposal order, which
-  // here IS the exploration order).
-  const ExplorationSummary Summary =
-      summarizeMeasuredRun(*Classic, Objective);
-  EXPECT_EQ(Driven->WinnerIndex, Summary.WinnerIndex);
+TEST_F(StrategyDriverFixture, BaselinePipelineTrainsNoBlocks) {
+  // Without composability the pipeline fine-tunes default networks: no
+  // blocks, no pre-training, every configuration evaluated and stored
+  // by ascending size.
+  PipelineOptions Options;
+  Options.UseComposability = false;
+  Options.Workers = 2;
+  Rng Generator(19);
+  Result<PipelineResult> Run =
+      runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator);
+  ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
+  expectAscendingStorage(*Run, Subspace);
+  EXPECT_TRUE(Run->Blocks.empty());
+  EXPECT_EQ(Run->Pretrain.BlockCount, 0);
+  EXPECT_EQ(Run->Pretrain.GroupCount, 0);
+  EXPECT_EQ(Run->Telemetry.busySeconds("pretrain"), 0.0);
+  for (const EvaluatedConfig &E : Run->Evaluations) {
+    EXPECT_FALSE(E.Cancelled);
+    EXPECT_TRUE(E.BlocksUsed.empty());
+  }
+  EXPECT_EQ(Run->Telemetry.counter("tasks_done"),
+            static_cast<int64_t>(Subspace.size()));
+  EXPECT_GT(Run->EvaluationSeconds, 0.0);
 }
 
 TEST_F(StrategyDriverFixture, ReplayProposesIdenticalConfigs) {
@@ -363,6 +423,48 @@ TEST_F(StrategyDriverFixture, GreedyReportsCommitsAndReuse) {
   EXPECT_GT(Search->RoundsInfo[1].BlocksReused, 0);
   EXPECT_EQ(Search->Run.Telemetry.counter("strategy.blocks_reused"),
             Search->BlocksReused);
+}
+
+TEST_F(StrategyDriverFixture, EvalOnlyNumbersGroupsAcrossRounds) {
+  // Every round is one graph whose block groups are numbered across the
+  // whole run, so a multi-round EvalOnly run logs each group once under
+  // its own name and finishes as many tasks as the Overlap schedule.
+  std::vector<int64_t> TasksDone;
+  for (PipelineSchedule Schedule :
+       {PipelineSchedule::EvalOnly, PipelineSchedule::Overlap}) {
+    GreedySensitivityStrategy Strategy(Spec, Objective, [&] {
+      StrategyKnobs Knobs;
+      Knobs.Rates = {0.0f, 0.3f, 0.5f};
+      Knobs.MaxRounds = 3;
+      return Knobs;
+    }());
+    PipelineOptions Options = evalOnlyOptions();
+    Options.Schedule = Schedule;
+    Rng Generator(11);
+    Result<StrategyRunResult> Search = runStrategyExploration(
+        Spec, Data, Strategy, Meta, Options, Objective, Generator);
+    ASSERT_TRUE(static_cast<bool>(Search)) << Search.message();
+    ASSERT_EQ(Search->Rounds, 3);
+
+    std::set<std::string> Names;
+    size_t PretrainSpans = 0;
+    for (const SpanEvent &Span : Search->Run.Telemetry.Spans)
+      if (Span.Kind == "pretrain") {
+        ++PretrainSpans;
+        Names.insert(Span.Name);
+      }
+    EXPECT_EQ(Names.size(), PretrainSpans);
+    EXPECT_EQ(PretrainSpans,
+              static_cast<size_t>(Search->Run.Pretrain.GroupCount));
+    // More than one round pre-trained, and the names run g0, g1, ...
+    EXPECT_GE(PretrainSpans, 2u);
+    for (size_t G = 0; G < PretrainSpans; ++G)
+      EXPECT_EQ(Names.count("pretrain:g" + std::to_string(G)), 1u) << G;
+    EXPECT_EQ(Search->Run.Telemetry.counter("tasks_done"),
+              static_cast<int64_t>(PretrainSpans) + Search->Proposals);
+    TasksDone.push_back(Search->Run.Telemetry.counter("tasks_done"));
+  }
+  EXPECT_EQ(TasksDone[0], TasksDone[1]);
 }
 
 //===----------------------------------------------------------------------===//
