@@ -74,12 +74,19 @@ int main() {
 
       CheckpointStore Store;
       Rng PretrainGen(83);
-      Result<PretrainStats> Stats =
-          pretrainBlocks(Model, Full->Network, "full", Blocks, Data, Meta,
-                         Store, PretrainGen);
-      if (!Stats) {
-        std::fprintf(stderr, "%s\n", Stats.message().c_str());
-        return 1;
+      const PendingGroups Pending =
+          pendingBlockGroups(Blocks, Store, nullptr, PretrainGen.next());
+      double PretrainSeconds = 0.0;
+      for (size_t G = 0; G < Pending.Groups.size(); ++G) {
+        Rng GroupGen(Pending.Seeds[G]);
+        Result<GroupPretrainStats> Stats =
+            pretrainGroup(Model, Full->Network, "full", Pending.Groups[G],
+                          Data, Meta, Store, GroupGen);
+        if (!Stats) {
+          std::fprintf(stderr, "%s\n", Stats.message().c_str());
+          return 1;
+        }
+        PretrainSeconds += Stats->Seconds;
       }
       Rng BlockGen(84);
       Result<AssembledNetwork> BlockTrained =
@@ -94,8 +101,8 @@ int main() {
           BlockTrained->LogitsNode, Data.Test);
       Out.addRow({std::to_string(Length), formatDouble(Rate, 1),
                   std::to_string(Blocks.size()),
-                  std::to_string(Stats->GroupCount),
-                  formatDouble(Stats->Seconds, 2),
+                  std::to_string(Pending.Groups.size()),
+                  formatDouble(PretrainSeconds, 2),
                   formatDouble(InitPlus, 3),
                   formatDouble(DefaultInit, 3)});
     }

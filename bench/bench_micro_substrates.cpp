@@ -44,10 +44,11 @@ static void BM_ConvForward(benchmark::State &State) {
   Tensor In(Shape{8, 12, 8, 8});
   for (size_t I = 0; I < In.size(); ++I)
     In[I] = Generator.nextGaussian();
-  Network.setInput("x", In);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
   for (auto _ : State) {
-    Network.forward(false);
-    benchmark::DoNotOptimize(Network.activation("conv").data());
+    Ctx.forward(Network, false);
+    benchmark::DoNotOptimize(Ctx.activation("conv").data());
   }
 }
 BENCHMARK(BM_ConvForward);
@@ -64,14 +65,14 @@ static void BM_FullModelTrainStep(benchmark::State &State) {
     In[I] = Generator.nextGaussian();
   const std::vector<int> Labels{0, 1, 2, 3, 4, 5, 0, 1};
   Tensor Grad;
+  ExecContext Ctx(Network);
   for (auto _ : State) {
-    Network.setInput("data", In);
-    Network.forward(true);
+    Ctx.setInput("data", In);
+    Ctx.forward(Network, true);
     Network.zeroGrads();
-    softmaxCrossEntropy(Network.activation(Built->LogitsNode), Labels,
-                        Grad);
-    Network.seedGradient(Built->LogitsNode, Grad);
-    Network.backward();
+    softmaxCrossEntropy(Ctx.activation(Built->LogitsNode), Labels, Grad);
+    Ctx.seedGradient(Built->LogitsNode, Grad);
+    Ctx.backward(Network);
   }
   State.SetLabel("one SGD step, batch 8, mini-resnet-a");
 }

@@ -170,30 +170,6 @@ void ExecContext::backward(Graph &G) {
 // Graph
 //===----------------------------------------------------------------------===//
 
-Graph::Graph(Graph &&Other) noexcept
-    : Nodes(std::move(Other.Nodes)),
-      NameToIndex(std::move(Other.NameToIndex)),
-      Carries(std::move(Other.Carries)), CarriesValid(Other.CarriesValid),
-      DefaultCtx(std::move(Other.DefaultCtx)) {
-  // The default context can only ever be bound to its owning graph; after
-  // the move that graph lives here.
-  if (DefaultCtx.Bound)
-    DefaultCtx.Bound = this;
-}
-
-Graph &Graph::operator=(Graph &&Other) noexcept {
-  if (this == &Other)
-    return *this;
-  Nodes = std::move(Other.Nodes);
-  NameToIndex = std::move(Other.NameToIndex);
-  Carries = std::move(Other.Carries);
-  CarriesValid = Other.CarriesValid;
-  DefaultCtx = std::move(Other.DefaultCtx);
-  if (DefaultCtx.Bound)
-    DefaultCtx.Bound = this;
-  return *this;
-}
-
 void Graph::addInput(const std::string &Name) {
   assert(!hasNode(Name) && "duplicate node name");
   Node N;
@@ -252,25 +228,6 @@ int Graph::indexOf(const std::string &Name) const {
   return It == NameToIndex.end() ? -1 : It->second;
 }
 
-void Graph::setInput(const std::string &Name, const Tensor &Value) {
-  DefaultCtx.bind(*this);
-  DefaultCtx.setInput(Name, Value);
-}
-
-void Graph::forward(bool Training) { DefaultCtx.forward(*this, Training); }
-
-const Tensor &Graph::activation(const std::string &Name) const {
-  assert(DefaultCtx.Bound == this &&
-         "activation read before any forward pass");
-  return DefaultCtx.activation(Name);
-}
-
-const Tensor *Graph::outputGradient(const std::string &Name) const {
-  assert(DefaultCtx.Bound == this &&
-         "gradient read before any forward pass");
-  return DefaultCtx.outputGradient(Name);
-}
-
 void Graph::zeroGrads() {
   for (Node &N : Nodes) {
     if (!N.NodeLayer)
@@ -278,11 +235,6 @@ void Graph::zeroGrads() {
     for (Param *P : N.NodeLayer->params())
       P->Grad.zero();
   }
-}
-
-void Graph::seedGradient(const std::string &Name, const Tensor &Grad) {
-  DefaultCtx.bind(*this);
-  DefaultCtx.seedGradient(Name, Grad);
 }
 
 void Graph::updateCarries() {
@@ -299,8 +251,6 @@ void Graph::updateCarries() {
   }
   CarriesValid = true;
 }
-
-void Graph::backward() { DefaultCtx.backward(*this); }
 
 void Graph::setTrainable(const std::string &Name, bool Trainable) {
   const int Index = indexOf(Name);

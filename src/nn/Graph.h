@@ -34,9 +34,9 @@
 ///   Optimizer.step(G.trainableParams());
 /// \endcode
 ///
-/// The classic single-threaded surface (`G.setInput(...); G.forward(...);
-/// G.activation(...)`) still works: it delegates to a default context
-/// embedded in the Graph.
+/// ExecContext is the only way to run a Graph: the Graph itself holds no
+/// activations, so a context is cheap to create per call and a moved
+/// Graph needs no fix-up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,8 +125,6 @@ public:
   void backward(Graph &G);
 
 private:
-  friend class Graph;
-
   /// Pass-local state for one graph node.
   struct Slot {
     Tensor Activation;
@@ -147,16 +145,14 @@ private:
 };
 
 /// A DAG of named layer nodes: topology plus parameters. Execution state
-/// lives in ExecContext; the forward/backward members below are thin
-/// compatibility wrappers over an internal default context, preserved for
-/// single-threaded callers.
+/// lives in ExecContext.
 class Graph {
 public:
   Graph() = default;
-  /// Graphs are movable (AssembledNetwork holds one by value); the move
-  /// re-points the embedded default context at the new location.
-  Graph(Graph &&Other) noexcept;
-  Graph &operator=(Graph &&Other) noexcept;
+  /// Graphs are movable (AssembledNetwork holds one by value). Contexts
+  /// bound to the moved-from graph must be rebound.
+  Graph(Graph &&) = default;
+  Graph &operator=(Graph &&) = default;
 
   /// Declares an input placeholder named \p Name.
   void addInput(const std::string &Name);
@@ -183,41 +179,8 @@ public:
   /// input placeholders. Asserts that the node exists.
   std::vector<std::string> nodeInputs(const std::string &Name) const;
 
-  /// The context backing the compatibility wrappers below. Exclusive
-  /// single-threaded owners (the Trainer's hot loop) use it directly for
-  /// the move-in input path while keeping per-graph pass-local state —
-  /// e.g. dropout mask streams — continuous across calls, exactly as
-  /// before the model/context split.
-  ExecContext &defaultContext() {
-    DefaultCtx.bind(*this);
-    return DefaultCtx;
-  }
-
-  /// Binds \p Value to the input placeholder \p Name in the default
-  /// context (copies the tensor; ExecContext::setInput has a move-in
-  /// path).
-  void setInput(const std::string &Name, const Tensor &Value);
-
-  /// Runs every node in topological order in the default context.
-  void forward(bool Training);
-
-  /// The most recent default-context activation of node \p Name.
-  const Tensor &activation(const std::string &Name) const;
-
-  /// The default-context output gradient of node \p Name, or null if none
-  /// flowed there in the most recent backward() pass.
-  const Tensor *outputGradient(const std::string &Name) const;
-
   /// Zeroes all parameter gradients.
   void zeroGrads();
-
-  /// Accumulates \p Grad into the default-context output gradient of node
-  /// \p Name. Shapes must match the node's current activation.
-  void seedGradient(const std::string &Name, const Tensor &Grad);
-
-  /// Propagates all seeded default-context gradients back to every
-  /// trainable parameter. Frozen subgraphs are skipped entirely.
-  void backward();
 
   /// Marks node \p Name (not) trainable. Frozen nodes keep their
   /// parameters fixed and do not receive gradient flow from below.
@@ -271,8 +234,6 @@ private:
   std::map<std::string, int> NameToIndex;
   std::vector<bool> Carries; ///< Node has a trainable ancestor-or-self.
   bool CarriesValid = false;
-  /// Backs the single-threaded compatibility wrappers above.
-  ExecContext DefaultCtx;
 };
 
 } // namespace wootz

@@ -20,6 +20,10 @@ Batcher::Batcher(std::shared_ptr<AssembledNetwork> Network,
     : Network(std::move(Network)), Plan(std::move(Plan)), Options(Options),
       Log(Log), Latency(Latency), Pool(Pool) {
   assert(this->Network && "batcher needs a network");
+  if (!this->Pool) {
+    OwnedPool = std::make_unique<ContextPool>(Options.Pool);
+    this->Pool = OwnedPool.get();
+  }
   const int Count = std::max(1, Options.Workers);
   Workers.reserve(static_cast<size_t>(Count));
   for (int I = 0; I < Count; ++I)
@@ -63,20 +67,13 @@ Result<Prediction> Batcher::predict(const Tensor &Sample) {
 }
 
 void Batcher::loop() {
-  // Each worker forwards through a private execution context over the
-  // shared model: the Graph's parameters are read-only during serving,
-  // so workers run concurrent forwards without copying a single weight.
-  // When the model was frozen into a static plan the same pattern holds
-  // with a private PlanContext over the shared immutable ExecPlan. With
-  // a registry pool the contexts are borrowed per batch instead of
-  // pinned per thread, so idle models release their buffers.
-  ExecContext Ctx;
-  PlanContext PlanCtx;
-  if (!Pool) {
-    Ctx.bind(Network->Network);
-    if (Plan)
-      PlanCtx.bind(*Plan);
-  }
+  // Each batch forwards through an execution context borrowed from the
+  // pool over the shared model: the Graph's parameters are read-only
+  // during serving, so workers run concurrent forwards without copying a
+  // single weight. A model frozen into a static plan borrows a
+  // PlanContext over the shared immutable ExecPlan instead. Contexts go
+  // back to the pool after each batch, so idle models release their
+  // buffers.
   std::unique_lock<std::mutex> Lock(Mutex);
   for (;;) {
     WorkReady.wait(Lock, [&] { return Stopping || !Queue.empty(); });
@@ -113,16 +110,12 @@ void Batcher::loop() {
       Queue.pop_front();
     }
     Lock.unlock();
-    if (Pool) {
+    {
       ContextPool::Lease Lease = Pool->acquire(Network, Plan.get());
       if (Plan)
         runBatch(Lease.plan(), Batch);
       else
         runBatch(Lease.exec(), Batch);
-    } else if (Plan) {
-      runBatch(PlanCtx, Batch);
-    } else {
-      runBatch(Ctx, Batch);
     }
     Lock.lock();
     for (Pending *P : Batch)
@@ -294,8 +287,7 @@ Error ModelRegistry::add(const std::string &Id,
                 static_cast<int64_t>(Warmed));
   }
   Model->Engine = std::make_unique<Batcher>(
-      std::move(Network), Batching, Log, Latency, Model->Plan,
-      Batching.PoolContexts ? &Contexts : nullptr);
+      std::move(Network), Batching, Log, Latency, Model->Plan, &Contexts);
   std::lock_guard<std::mutex> Lock(Mutex);
   auto [It, Inserted] = Models.emplace(Id, std::move(Model));
   (void)It;

@@ -7,14 +7,14 @@
 /// \file
 /// The inference path of the serve daemon. Each servable model owns one
 /// Batcher: a small pool of worker threads that share the model's Graph
-/// read-only, each forwarding through a private ExecContext, so one hot
-/// model scales across workers instead of being pinned to a single
-/// thread. Workers coalesce concurrent predict requests into one NCHW
-/// batch, which is what lets HTTP traffic exercise the batch-parallel
-/// Conv2D kernels: when the first sample arrives a worker waits up to
-/// MaxWaitMicros for companions (bounded wait), cuts the batch at
-/// MaxBatch, runs a single eval-mode forward, and fans the logit rows
-/// back out to the waiting request threads.
+/// read-only, each batch forwarding through an ExecContext borrowed from
+/// a ContextPool, so one hot model scales across workers instead of
+/// being pinned to a single thread. Workers coalesce concurrent predict
+/// requests into one NCHW batch, which is what lets HTTP traffic
+/// exercise the batch-parallel Conv2D kernels: when the first sample
+/// arrives a worker waits up to MaxWaitMicros for companions (bounded
+/// wait), cuts the batch at MaxBatch, runs a single eval-mode forward,
+/// and fans the logit rows back out to the waiting request threads.
 ///
 /// Callers block in predict() on a condition variable; a bounded pending
 /// queue turns overload into an immediate "overloaded" error (the
@@ -52,20 +52,16 @@ struct BatcherOptions {
   int MaxWaitMicros = 2000;
   /// Pending-request cap; beyond it predict() fails fast ("overloaded").
   size_t MaxQueuedRequests = 64;
-  /// Worker threads per model. Each forwards the shared Graph through a
-  /// private ExecContext, so concurrent batches overlap on one model.
+  /// Worker threads per model. Each batch forwards the shared Graph
+  /// through an ExecContext borrowed from a ContextPool, so concurrent
+  /// batches overlap on one model.
   int Workers = 2;
   /// Freeze each registered model into a static ExecPlan at add() time
   /// and serve through PlanContexts instead of the Graph interpreter.
   /// Models whose graphs fail to compile fall back to the interpreter
   /// (the registry bumps `serve.models.plan_fallback`).
   bool UsePlans = false;
-  /// Acquire execution contexts from the registry-wide ContextPool per
-  /// batch instead of pinning one to every worker thread. Identical
-  /// outputs (contexts are scratch state); bounds idle memory via the
-  /// pool's trim policy.
-  bool PoolContexts = true;
-  /// Pool trim policy (meaningful with PoolContexts).
+  /// Trim policy of the ContextPool that lends every batch its context.
   ContextPoolOptions Pool;
 };
 
@@ -82,11 +78,12 @@ class Batcher {
 public:
   /// Takes shared ownership of \p Network; \p Log (optional) receives
   /// `serve.predict.*` counters, \p Latency (optional) per-request
-  /// forward latencies. When \p Plan is non-null every worker executes
-  /// it through a private PlanContext instead of interpreting the
-  /// Graph; the network is still kept alive for provenance.
-  /// \p Pool (optional) supplies per-batch execution contexts; without
-  /// it every worker owns its contexts for its whole lifetime.
+  /// forward latencies. When \p Plan is non-null every batch executes
+  /// it through a pooled PlanContext instead of interpreting the Graph;
+  /// the network is still kept alive for provenance.
+  /// \p Pool (optional, e.g. the registry's) lends each batch its
+  /// execution context; without it the batcher owns a pool built from
+  /// Options.Pool.
   Batcher(std::shared_ptr<AssembledNetwork> Network, BatcherOptions Options,
           RunLog *Log, LatencyHistogram *Latency,
           std::shared_ptr<const ExecPlan> Plan = nullptr,
@@ -127,6 +124,9 @@ private:
   BatcherOptions Options;
   RunLog *Log = nullptr;
   LatencyHistogram *Latency = nullptr;
+  /// Set when no pool was passed in. Declared after Network so it is
+  /// destroyed (after stop() joined the workers) before the network.
+  std::unique_ptr<ContextPool> OwnedPool;
   ContextPool *Pool = nullptr;
 
   std::mutex Mutex;

@@ -5,19 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A shared pool of execution contexts for the serving path. Without it
-/// every batcher worker permanently owns one ExecContext (and, for
-/// frozen models, one PlanContext) per model — N models x M workers
-/// contexts' worth of activation buffers held even for models that have
-/// not seen a request in minutes. The pool inverts that: workers acquire
-/// a context for the duration of one batch and release it back, so
-/// buffers are shared across workers of one model, and contexts idle
-/// past a trim threshold are destroyed on the next release.
+/// A shared pool of execution contexts for the serving path. Batcher
+/// workers acquire a context (an ExecContext, or a PlanContext for frozen
+/// models) for the duration of one batch and release it back, so buffers
+/// are shared across workers of one model, and contexts idle past a trim
+/// threshold are destroyed on the next release. A model that has not
+/// seen a request in minutes holds no activation buffers.
 ///
 /// Contexts hold only scratch state (activation tensors, arena
 /// buffers); model outputs are a pure function of weights and input, so
-/// pooling cannot change a single logit — the Batcher's results are
-/// bit-identical with and without it.
+/// pooling cannot change a single logit.
 ///
 //===----------------------------------------------------------------------===//
 

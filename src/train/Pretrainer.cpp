@@ -56,10 +56,9 @@ Result<GroupPretrainStats> wootz::pretrainGroup(
   SgdOptimizer Optimizer(Meta.PretrainLearningRate, Meta.Momentum,
                          Meta.WeightDecay);
   const std::vector<Param *> Params = Network.trainableParams();
-  // The group network is local to this call; one context carries the
-  // shared teacher forward plus every student's pass, and its move-in
-  // input path avoids copying the batch each step.
-  ExecContext &Ctx = Network.defaultContext();
+  // One context carries the shared teacher forward plus every student's
+  // pass, and its move-in input path avoids copying the batch each step.
+  ExecContext Ctx(Network);
   Tensor GradOut;
 
   for (int Step = 1; Step <= Meta.PretrainSteps; ++Step) {
@@ -113,50 +112,4 @@ PendingGroups wootz::pendingBlockGroups(const std::vector<TuningBlock> &Blocks,
   for (const std::vector<TuningBlock> &Group : Out.Groups)
     Out.Seeds.push_back(pretrainGroupSeed(BaseSeed, Group));
   return Out;
-}
-
-Result<PretrainStats> wootz::pretrainBlocks(
-    const MultiplexingModel &Model, Graph &FullTrained,
-    const std::string &FullPrefix, const std::vector<TuningBlock> &Blocks,
-    const Dataset &Data, const TrainMeta &Meta, CheckpointStore &Store,
-    Rng &Generator, const FilterScores *Scores, RunLog *Log,
-    BlockCache *Cache) {
-  Stopwatch TotalTimer;
-  PretrainStats Stats;
-
-  // Drawn unconditionally so the caller's generator advances the same
-  // whether every block trains, some load from the cache, or none are
-  // pending — a warm run must reproduce the cold run's later draws.
-  const PendingGroups Pending =
-      pendingBlockGroups(Blocks, Store, Cache, Generator.next());
-  Stats.BlockCount = Pending.BlockCount;
-  Stats.GroupCount = static_cast<int>(Pending.Groups.size());
-  if (Pending.Groups.empty())
-    return Stats;
-
-  for (size_t GroupIndex = 0; GroupIndex < Pending.Groups.size();
-       ++GroupIndex) {
-    const double StartAt = Log ? Log->now() : 0.0;
-    Rng GroupGen(Pending.Seeds[GroupIndex]);
-    Result<GroupPretrainStats> GroupStats = pretrainGroup(
-        Model, FullTrained, FullPrefix, Pending.Groups[GroupIndex], Data,
-        Meta, Store, GroupGen, Scores, Cache);
-    if (!GroupStats)
-      return GroupStats.takeError();
-    if (Log) {
-      SpanEvent Span;
-      Span.Name = "pretrain:g" + std::to_string(GroupIndex);
-      Span.ReadyAt = StartAt;
-      Span.StartAt = StartAt;
-      Span.EndAt = Log->now();
-      Log->record(std::move(Span));
-    }
-    Stats.FirstLoss += GroupStats->FirstLoss;
-    Stats.LastLoss += GroupStats->LastLoss;
-    Stats.GroupSeconds.push_back(GroupStats->Seconds);
-  }
-  Stats.FirstLoss /= Stats.GroupCount;
-  Stats.LastLoss /= Stats.GroupCount;
-  Stats.Seconds = TotalTimer.seconds();
-  return Stats;
 }

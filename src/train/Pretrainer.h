@@ -22,18 +22,16 @@
 #include "src/compiler/Solver.h"
 #include "src/data/Dataset.h"
 #include "src/pruning/Importance.h"
-#include "src/runtime/RunLog.h"
 #include "src/train/BlockCache.h"
 #include "src/train/CheckpointStore.h"
 
 namespace wootz {
 
-/// Cost accounting of a pre-training run.
+/// Cost accounting of an exploration run's block pre-training.
 struct PretrainStats {
   int BlockCount = 0;
   int GroupCount = 0;
-  /// Pre-training seconds: pretrainBlocks' wall clock (cache fetches
-  /// included); in an exploration run, the sum of group seconds.
+  /// Pre-training seconds: the sum of the trained groups' seconds.
   double Seconds = 0.0;
   /// Wall-clock seconds per group, for the multi-node schedule
   /// simulation (groups are distributed round-robin over nodes).
@@ -59,7 +57,9 @@ struct GroupPretrainStats {
 /// runtime scheduler dispatches: groups only read the teacher and only
 /// write distinct store keys, so distinct groups may train concurrently
 /// (each with its own \p Generator). The caller is responsible for
-/// filtering out identity and already-stored blocks. When \p Cache is
+/// filtering out identity and already-stored blocks (pendingBlockGroups()
+/// does both). Each block starts from its inherited slice of the teacher,
+/// ranked by \p Scores when given, by l1 norms otherwise. When \p Cache is
 /// given, each freshly trained block is also published to the cross-run
 /// cache (publish failures are non-fatal — the block lives in \p Store
 /// regardless).
@@ -97,27 +97,6 @@ struct PendingGroups {
 PendingGroups pendingBlockGroups(const std::vector<TuningBlock> &Blocks,
                                  CheckpointStore &Store, BlockCache *Cache,
                                  uint64_t BaseSeed);
-
-/// Pre-trains \p Blocks with \p FullTrained (nodes "<FullPrefix>/...")
-/// as the teacher and stores each trained block in \p Store under its
-/// canonical id. Identity blocks are skipped (they reuse the teacher's
-/// weights directly). Blocks are initialized by weight inheritance
-/// before training — ranked by \p Scores when given, by l1 norms
-/// otherwise. The pending groups come from pendingBlockGroups() and run
-/// serially, in partition order; exactly one value is drawn from
-/// \p Generator (cached or empty pending sets draw the same), so
-/// skipping blocks never shifts the caller's later draws.
-/// When \p Log is given each group is recorded as a "pretrain:g<index>"
-/// span. When \p Cache is given, blocks already in the cross-run cache
-/// are fetched instead of trained (they do not count toward
-/// BlockCount), and freshly trained blocks are published back.
-Result<PretrainStats>
-pretrainBlocks(const MultiplexingModel &Model, Graph &FullTrained,
-               const std::string &FullPrefix,
-               const std::vector<TuningBlock> &Blocks, const Dataset &Data,
-               const TrainMeta &Meta, CheckpointStore &Store,
-               Rng &Generator, const FilterScores *Scores = nullptr,
-               RunLog *Log = nullptr, BlockCache *Cache = nullptr);
 
 } // namespace wootz
 

@@ -11,37 +11,6 @@
 
 using namespace wootz;
 
-double wootz::evaluateAccuracy(const Graph &Network, ExecContext &Ctx,
-                               const std::string &InputNode,
-                               const std::string &LogitsNode,
-                               const Split &Test, int BatchSize) {
-  const int Total = Test.exampleCount();
-  assert(Total > 0 && "evaluating on an empty split");
-  Ctx.bind(Network);
-  int Correct = 0;
-  std::vector<int> Indices;
-  for (int Begin = 0; Begin < Total; Begin += BatchSize) {
-    const int End = std::min(Begin + BatchSize, Total);
-    Indices.clear();
-    for (int I = Begin; I < End; ++I)
-      Indices.push_back(I);
-    Batch Eval = Test.gather(Indices);
-    Ctx.setInput(InputNode, std::move(Eval.Images));
-    Ctx.forward(Network, /*Training=*/false);
-    const Tensor &Logits = Ctx.activation(LogitsNode);
-    Correct += static_cast<int>(
-        accuracyFromLogits(Logits, Eval.Labels) * Eval.Labels.size() + 0.5);
-  }
-  return static_cast<double>(Correct) / Total;
-}
-
-double wootz::evaluateAccuracy(Graph &Network, const std::string &InputNode,
-                               const std::string &LogitsNode,
-                               const Split &Test, int BatchSize) {
-  return evaluateAccuracy(Network, Network.defaultContext(), InputNode,
-                          LogitsNode, Test, BatchSize);
-}
-
 double wootz::evaluateAccuracy(const Graph &Network,
                                const std::string &InputNode,
                                const std::string &LogitsNode,
@@ -51,40 +20,40 @@ double wootz::evaluateAccuracy(const Graph &Network,
   assert(Total > 0 && "evaluating on an empty split");
   const int NumBatches = (Total + BatchSize - 1) / BatchSize;
   const int Shards = std::max(1, std::min(Threads, NumBatches));
-  if (Shards == 1) {
-    ExecContext Ctx(Network);
-    return evaluateAccuracy(Network, Ctx, InputNode, LogitsNode, Test,
-                            BatchSize);
-  }
 
-  // Each shard walks batches B, B + Shards, B + 2*Shards, ... with the
+  // Shard S walks batches S, S + Shards, S + 2*Shards, ... with the
   // serial loop's exact batch boundaries and scores them through a
   // private context over the shared read-only model. Correct counts are
   // integers, so their sum is independent of thread interleaving.
   std::vector<int> Correct(static_cast<size_t>(Shards), 0);
-  std::vector<std::thread> Workers;
-  Workers.reserve(static_cast<size_t>(Shards));
-  for (int S = 0; S < Shards; ++S)
-    Workers.emplace_back([&, S] {
-      ExecContext Ctx(Network);
-      std::vector<int> Indices;
-      for (int B = S; B < NumBatches; B += Shards) {
-        const int Begin = B * BatchSize;
-        const int End = std::min(Begin + BatchSize, Total);
-        Indices.clear();
-        for (int I = Begin; I < End; ++I)
-          Indices.push_back(I);
-        Batch Eval = Test.gather(Indices);
-        Ctx.setInput(InputNode, std::move(Eval.Images));
-        Ctx.forward(Network, /*Training=*/false);
-        const Tensor &Logits = Ctx.activation(LogitsNode);
-        Correct[static_cast<size_t>(S)] += static_cast<int>(
-            accuracyFromLogits(Logits, Eval.Labels) * Eval.Labels.size() +
-            0.5);
-      }
-    });
-  for (std::thread &W : Workers)
-    W.join();
+  auto scoreShard = [&](int S) {
+    ExecContext Ctx(Network);
+    std::vector<int> Indices;
+    for (int B = S; B < NumBatches; B += Shards) {
+      const int Begin = B * BatchSize;
+      const int End = std::min(Begin + BatchSize, Total);
+      Indices.clear();
+      for (int I = Begin; I < End; ++I)
+        Indices.push_back(I);
+      Batch Eval = Test.gather(Indices);
+      Ctx.setInput(InputNode, std::move(Eval.Images));
+      Ctx.forward(Network, /*Training=*/false);
+      const Tensor &Logits = Ctx.activation(LogitsNode);
+      Correct[static_cast<size_t>(S)] += static_cast<int>(
+          accuracyFromLogits(Logits, Eval.Labels) * Eval.Labels.size() +
+          0.5);
+    }
+  };
+  if (Shards == 1) {
+    scoreShard(0);
+  } else {
+    std::vector<std::thread> Workers;
+    Workers.reserve(static_cast<size_t>(Shards));
+    for (int S = 0; S < Shards; ++S)
+      Workers.emplace_back(scoreShard, S);
+    for (std::thread &W : Workers)
+      W.join();
+  }
   int Sum = 0;
   for (int C : Correct)
     Sum += C;
@@ -109,11 +78,10 @@ TrainResult wootz::trainClassifierDistilled(
   BatchSampler Sampler(Data.Train, Meta.BatchSize, Generator.fork());
   SgdOptimizer Optimizer(LearningRate, Meta.Momentum, Meta.WeightDecay);
   const std::vector<Param *> Params = Student.trainableParams();
-  // The student is exclusively ours, so its default context keeps the
-  // hot loop's buffers. The teacher may be shared by several concurrent
-  // fine-tunes (Pipeline Overlap), so its activations live in a private
-  // context: only its read-only parameters are shared.
-  ExecContext &StudentCtx = Student.defaultContext();
+  // One context per network for the whole run reuses the hot loop's
+  // buffers across steps. The teacher may be shared by several
+  // concurrent fine-tunes, so only its read-only parameters are shared.
+  ExecContext StudentCtx(Student);
   ExecContext TeacherCtx(Teacher);
   Tensor GradHard;
   Tensor GradSoft;
@@ -179,9 +147,9 @@ TrainResult wootz::trainClassifier(Graph &Network,
   BatchSampler Sampler(Data.Train, Meta.BatchSize, Generator.fork());
   SgdOptimizer Optimizer(LearningRate, Meta.Momentum, Meta.WeightDecay);
   const std::vector<Param *> Params = Network.trainableParams();
-  // The network is exclusively ours for the duration of the run; its
-  // default context gives buffer reuse across steps plus move-in inputs.
-  ExecContext &Ctx = Network.defaultContext();
+  // One context for the whole run: buffer reuse across steps plus
+  // move-in inputs.
+  ExecContext Ctx(Network);
   Tensor GradLogits;
 
   for (int Step = 1; Step <= Steps; ++Step) {

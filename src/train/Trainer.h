@@ -42,29 +42,17 @@ struct TrainResult {
   int StepsToBest = 0;
 };
 
-/// Test-set accuracy of \p Network's \p LogitsNode (evaluation mode).
-double evaluateAccuracy(Graph &Network, const std::string &InputNode,
-                        const std::string &LogitsNode, const Split &Test,
-                        int BatchSize = 64);
-
-/// Context-explicit variant: evaluates through \p Ctx, so several
-/// threads can score one shared (read-only) \p Network concurrently,
-/// each through a private context.
-double evaluateAccuracy(const Graph &Network, ExecContext &Ctx,
-                        const std::string &InputNode,
-                        const std::string &LogitsNode, const Split &Test,
-                        int BatchSize = 64);
-
-/// Sharded variant: strides the test batches across \p Threads worker
-/// threads over the one shared (read-only) \p Network, each scoring its
-/// share through a private ExecContext. Batch boundaries are identical
-/// to the serial loop's and each shard accumulates an integer correct
-/// count, so the result is bit-identical to serial evaluation for any
-/// thread count. TrainMeta::EvalThreads (`eval_threads`) selects the
-/// shard count on the pipeline's evaluation paths.
+/// Test-set accuracy of \p Network's \p LogitsNode (evaluation mode),
+/// scored through private ExecContexts over the shared read-only
+/// \p Network. \p Threads > 1 strides the test batches across that many
+/// worker threads, one context each. Batch boundaries are identical to
+/// the serial loop's and each shard accumulates an integer correct
+/// count, so the result is bit-identical for any thread count.
+/// TrainMeta::EvalThreads (`eval_threads`) selects the shard count on
+/// the pipeline's evaluation paths.
 double evaluateAccuracy(const Graph &Network, const std::string &InputNode,
                         const std::string &LogitsNode, const Split &Test,
-                        int BatchSize, int Threads);
+                        int BatchSize = 64, int Threads = 1);
 
 /// Trains \p Network with softmax cross-entropy on \p Data for \p Steps
 /// steps at learning rate \p LearningRate, evaluating every

@@ -33,10 +33,11 @@ TEST(MultiplexingTest, FullModelForwardShapes) {
   ASSERT_TRUE(static_cast<bool>(Built)) << Built.message();
   EXPECT_EQ(Built->LogitsNode, "full/logits");
 
-  Network.setInput("data", Tensor(Shape{2, 3, 8, 8}));
-  Network.forward(false);
-  EXPECT_EQ(Network.activation("full/logits").shape(), Shape({2, 6}));
-  EXPECT_EQ(Network.activation("full/m1_out").shape(),
+  ExecContext Ctx(Network);
+  Ctx.setInput("data", Tensor(Shape{2, 3, 8, 8}));
+  Ctx.forward(Network, false);
+  EXPECT_EQ(Ctx.activation("full/logits").shape(), Shape({2, 6}));
+  EXPECT_EQ(Ctx.activation("full/m1_out").shape(),
             Shape({2, 12, 8, 8}));
 }
 
@@ -50,13 +51,14 @@ TEST(MultiplexingTest, FineTuneModeShrinksChannels) {
   Result<BuildResult> Built = Model.build(Network, BuildMode::FineTune,
                                           Info, "net", Generator);
   ASSERT_TRUE(static_cast<bool>(Built)) << Built.message();
-  Network.setInput("data", Tensor(Shape{1, 3, 8, 8}));
-  Network.forward(false);
+  ExecContext Ctx(Network);
+  Ctx.setInput("data", Tensor(Shape{1, 3, 8, 8}));
+  Ctx.forward(Network, false);
   // 8 filters pruned at 70% leaves 2; module output stays at 12.
-  EXPECT_EQ(Network.activation("net/m1_conv1").shape(),
+  EXPECT_EQ(Ctx.activation("net/m1_conv1").shape(),
             Shape({1, 2, 8, 8}));
-  EXPECT_EQ(Network.activation("net/m1_out").shape(), Shape({1, 12, 8, 8}));
-  EXPECT_EQ(Network.activation("net/logits").shape(), Shape({1, 6}));
+  EXPECT_EQ(Ctx.activation("net/m1_out").shape(), Shape({1, 12, 8, 8}));
+  EXPECT_EQ(Ctx.activation("net/logits").shape(), Shape({1, 6}));
 }
 
 TEST(MultiplexingTest, FineTuneRejectsBadConfig) {
@@ -89,12 +91,13 @@ TEST(MultiplexingTest, PreTrainBuildsPortsPerBlock) {
   EXPECT_EQ(Built->Ports[0].StudentOut, "full.b0/m1_out");
   EXPECT_EQ(Built->Ports[1].TeacherOut, "full/m3_out");
 
-  Network.setInput("data", Tensor(Shape{2, 3, 8, 8}));
-  Network.forward(true);
+  ExecContext Ctx(Network);
+  Ctx.setInput("data", Tensor(Shape{2, 3, 8, 8}));
+  Ctx.forward(Network, true);
   // Student and teacher boundary activations agree in shape (the
   // composability dimension invariant).
-  EXPECT_EQ(Network.activation(Built->Ports[0].StudentOut).shape(),
-            Network.activation(Built->Ports[0].TeacherOut).shape());
+  EXPECT_EQ(Ctx.activation(Built->Ports[0].StudentOut).shape(),
+            Ctx.activation(Built->Ports[0].TeacherOut).shape());
 }
 
 TEST(MultiplexingTest, PreTrainFreezesTeacherOnly) {
@@ -129,17 +132,18 @@ TEST(MultiplexingTest, PreTrainGradientsStayInStudent) {
   Rng DataGen(7);
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = DataGen.nextGaussian();
-  Network.setInput("data", Input);
-  Network.forward(true);
+  ExecContext Ctx(Network);
+  Ctx.setInput("data", Input);
+  Ctx.forward(Network, true);
   Network.zeroGrads();
   Tensor Grad;
   const BlockPort &Port = Built->Ports[0];
   const double Loss =
-      l2Reconstruction(Network.activation(Port.StudentOut),
-                       Network.activation(Port.TeacherOut), Grad);
+      l2Reconstruction(Ctx.activation(Port.StudentOut),
+                       Ctx.activation(Port.TeacherOut), Grad);
   EXPECT_GT(Loss, 0.0);
-  Network.seedGradient(Port.StudentOut, Grad);
-  Network.backward();
+  Ctx.seedGradient(Port.StudentOut, Grad);
+  Ctx.backward(Network);
 
   // Teacher gradients are untouched; student gradients are live.
   EXPECT_DOUBLE_EQ(
@@ -161,9 +165,10 @@ TEST(MultiplexingTest, MultiModuleBlockSpansBoundaries) {
   EXPECT_EQ(Built->Ports[0].TeacherOut, "full/m3_out");
   EXPECT_EQ(Built->Ports[0].Layers.size(),
             Model.blockLayerNames(Info.Blocks[0]).size());
-  Network.setInput("data", Tensor(Shape{1, 3, 8, 8}));
-  Network.forward(true);
-  EXPECT_EQ(Network.activation("full.b0/m3_out").shape(),
+  ExecContext Ctx(Network);
+  Ctx.setInput("data", Tensor(Shape{1, 3, 8, 8}));
+  Ctx.forward(Network, true);
+  EXPECT_EQ(Ctx.activation("full.b0/m3_out").shape(),
             Shape({1, 12, 8, 8}));
 }
 
@@ -189,11 +194,12 @@ TEST(MultiplexingTest, InceptionPreTrainWorks) {
   Result<BuildResult> Built = Model.build(Network, BuildMode::PreTrain,
                                           Info, "full", Generator);
   ASSERT_TRUE(static_cast<bool>(Built)) << Built.message();
-  Network.setInput("data", Tensor(Shape{1, 3, 8, 8}));
-  Network.forward(true);
+  ExecContext Ctx(Network);
+  Ctx.setInput("data", Tensor(Shape{1, 3, 8, 8}));
+  Ctx.forward(Network, true);
   for (const BlockPort &Port : Built->Ports)
-    EXPECT_EQ(Network.activation(Port.StudentOut).shape(),
-              Network.activation(Port.TeacherOut).shape());
+    EXPECT_EQ(Ctx.activation(Port.StudentOut).shape(),
+              Ctx.activation(Port.TeacherOut).shape());
 }
 
 //===----------------------------------------------------------------------===//
@@ -396,9 +402,10 @@ static Tensor randomInput(const ModelSpec &Spec, int Batch,
 
 /// Logits of \p Built on \p Input.
 static Tensor forwardLogits(BuiltNetwork &Built, const Tensor &Input) {
-  Built.Network.setInput(Built.InputNode, Input);
-  Built.Network.forward(false);
-  return Built.Network.activation(Built.LogitsNode);
+  ExecContext Ctx(Built.Network);
+  Ctx.setInput(Built.InputNode, Input);
+  Ctx.forward(Built.Network, false);
+  return Ctx.activation(Built.LogitsNode);
 }
 
 TEST(GraphBuilderTest, BuildsEveryStandardModel) {

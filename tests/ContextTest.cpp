@@ -2,10 +2,10 @@
 //
 // The model/context split: a Graph is an immutable-after-build model
 // (topology + parameters); every pass-local tensor lives in an
-// ExecContext. These tests pin the contract: wrapper/context parity,
-// checked accessors, move-in inputs, buffer reuse, and — the point of
-// the refactor — N threads forwarding one shared Graph through private
-// contexts with logits bit-identical to serial execution.
+// ExecContext. These tests pin the contract: checked accessors, move-in
+// inputs, buffer reuse, and — the point of the refactor — N threads
+// forwarding one shared Graph through private contexts with logits
+// bit-identical to serial execution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 #include "src/models/MiniModels.h"
 #include "src/nn/Graph.h"
 #include "src/nn/Layers.h"
-#include "src/nn/Loss.h"
 
 #include <gtest/gtest.h>
 
@@ -32,8 +31,7 @@ static ModelSpec tinySpec() {
 }
 
 /// Builds and randomly initializes a full tiny ResNet; returns the graph
-/// by value, which also exercises the Graph move path (the embedded
-/// default context must follow the model to its new address).
+/// by value, which also exercises the Graph move path.
 static Graph buildFullModel(std::string &LogitsNode, uint64_t Seed = 3) {
   const MultiplexingModel Model(tinySpec());
   Graph Network;
@@ -57,44 +55,25 @@ static Tensor filledInput(int Batch, float Fill) {
 // ContextTest: the ExecContext surface
 //===----------------------------------------------------------------------===//
 
-TEST(ContextTest, WrapperAndExplicitContextAgreeBitForBit) {
+TEST(ContextTest, GraphMoveKeepsTheModelUsable) {
   std::string Logits;
   Graph Network = buildFullModel(Logits);
-  const Tensor In = filledInput(2, 0.3f);
-
-  // Compatibility wrappers (the default context).
-  Network.setInput("data", In);
-  Network.forward(/*Training=*/false);
-  const Tensor ViaWrapper = Network.activation(Logits);
-
-  // Explicit private context over the same (unchanged) model.
+  const Tensor In = filledInput(1, 0.2f);
   ExecContext Ctx(Network);
   Ctx.setInput("data", In);
   Ctx.forward(Network, /*Training=*/false);
-  const Tensor &ViaContext = Ctx.activation(Logits);
+  const Tensor Before = Ctx.activation(Logits);
 
-  ASSERT_EQ(ViaWrapper.shape(), ViaContext.shape());
-  for (size_t I = 0; I < ViaWrapper.size(); ++I)
-    EXPECT_EQ(ViaWrapper.data()[I], ViaContext.data()[I]) << "logit " << I;
-}
-
-TEST(ContextTest, GraphMoveKeepsTheDefaultContextUsable) {
-  std::string Logits;
-  Graph Network = buildFullModel(Logits);
-  Network.setInput("data", filledInput(1, 0.2f));
-  Network.forward(/*Training=*/false);
-  const Tensor Before = Network.activation(Logits);
-
+  // The model carries no pass state, so a fresh context over the
+  // moved-to graph must reproduce the logits bit for bit.
   Graph Moved = std::move(Network);
-  // The default context's activations must have followed the model.
-  const Tensor &After = Moved.activation(Logits);
+  ExecContext MovedCtx(Moved);
+  MovedCtx.setInput("data", In);
+  MovedCtx.forward(Moved, /*Training=*/false);
+  const Tensor &After = MovedCtx.activation(Logits);
   ASSERT_EQ(Before.shape(), After.shape());
   for (size_t I = 0; I < Before.size(); ++I)
     EXPECT_EQ(Before.data()[I], After.data()[I]);
-  // And the moved-to graph keeps executing through its own wrappers.
-  Moved.setInput("data", filledInput(1, 0.7f));
-  Moved.forward(/*Training=*/false);
-  EXPECT_EQ(Moved.activation(Logits).shape(), Shape({1, 4}));
 }
 
 TEST(ContextTest, FindActivationTurnsBadLookupsIntoCleanErrors) {
@@ -194,42 +173,6 @@ TEST(ContextTest, ReusedContextKeepsItsBuffersAcrossBatches) {
   Ctx.setInput("data", filledInput(3, 0.8f));
   Ctx.forward(Network, /*Training=*/false);
   EXPECT_EQ(Ctx.activation(Logits).shape(), Shape({3, 4}));
-}
-
-TEST(ContextTest, TrainingStepThroughContextMatchesWrapper) {
-  std::string Logits;
-  Graph Network = buildFullModel(Logits);
-  const Tensor In = filledInput(2, 0.25f);
-  const std::vector<int> Labels = {1, 3};
-
-  // Step once through the wrappers, snapshot every parameter gradient.
-  Network.setInput("data", In);
-  Network.forward(/*Training=*/true);
-  Network.zeroGrads();
-  Tensor GradLogits;
-  softmaxCrossEntropy(Network.activation(Logits), Labels, GradLogits);
-  Network.seedGradient(Logits, GradLogits);
-  Network.backward();
-  std::vector<Tensor> Expected;
-  for (Param *P : Network.trainableParams())
-    Expected.push_back(P->Grad);
-
-  // Repeat through an explicit context; gradients land in the same
-  // shared parameters and must match bit for bit.
-  Network.zeroGrads();
-  ExecContext Ctx(Network);
-  Ctx.setInput("data", In);
-  Ctx.forward(Network, /*Training=*/true);
-  softmaxCrossEntropy(Ctx.activation(Logits), Labels, GradLogits);
-  Ctx.seedGradient(Logits, GradLogits);
-  Ctx.backward(Network);
-
-  const std::vector<Param *> Params = Network.trainableParams();
-  ASSERT_EQ(Params.size(), Expected.size());
-  for (size_t P = 0; P < Params.size(); ++P)
-    for (size_t I = 0; I < Expected[P].size(); ++I)
-      EXPECT_EQ(Params[P]->Grad.data()[I], Expected[P].data()[I])
-          << "param " << P << " grad " << I;
 }
 
 //===----------------------------------------------------------------------===//

@@ -52,7 +52,8 @@ TEST(ContractTest, SetInputOnLayerNodeAborts) {
   Graph Network;
   Network.addInput("x");
   Network.addNode("a", std::make_unique<ReLU>(), {"x"});
-  EXPECT_DEATH(Network.setInput("a", Tensor(Shape{1})),
+  ExecContext Ctx(Network);
+  EXPECT_DEATH(Ctx.setInput("a", Tensor(Shape{1})),
                "input placeholder");
 }
 
@@ -62,17 +63,19 @@ TEST(ContractTest, ConvChannelMismatchAbortsAtForward) {
   Network.addNode("conv",
                   std::make_unique<Conv2D>(ConvGeometry{3, 4, 3, 1, 1}),
                   {"x"});
-  Network.setInput("x", Tensor(Shape{1, 2, 8, 8})); // 2 != 3 channels.
-  EXPECT_DEATH(Network.forward(false), "channel mismatch");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", Tensor(Shape{1, 2, 8, 8})); // 2 != 3 channels.
+  EXPECT_DEATH(Ctx.forward(Network, false), "channel mismatch");
 }
 
 TEST(ContractTest, GradientSeedShapeMustMatchActivation) {
   Graph Network;
   Network.addInput("x");
   Network.addNode("relu", std::make_unique<ReLU>(), {"x"});
-  Network.setInput("x", Tensor(Shape{1, 1, 2, 2}));
-  Network.forward(true);
-  EXPECT_DEATH(Network.seedGradient("relu", Tensor(Shape{1, 1, 3, 3})),
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", Tensor(Shape{1, 1, 2, 2}));
+  Ctx.forward(Network, true);
+  EXPECT_DEATH(Ctx.seedGradient("relu", Tensor(Shape{1, 1, 3, 3})),
                "shape must match");
 }
 

@@ -28,14 +28,14 @@ class GradCheck {
 public:
   GradCheck(Graph &Network, std::string InputNode, std::string OutNode,
             Tensor Input)
-      : Network(Network), InputNode(std::move(InputNode)),
+      : Network(Network), Ctx(Network), InputNode(std::move(InputNode)),
         OutNode(std::move(OutNode)), Input(std::move(Input)) {}
 
   /// L = 0.5 * sum(out_i^2); dL/dout = out.
   double loss(bool Training = true) {
-    Network.setInput(InputNode, Input);
-    Network.forward(Training);
-    const Tensor &Out = Network.activation(OutNode);
+    Ctx.setInput(InputNode, Input);
+    Ctx.forward(Network, Training);
+    const Tensor &Out = Ctx.activation(OutNode);
     double Total = 0.0;
     for (size_t I = 0; I < Out.size(); ++I)
       Total += 0.5 * static_cast<double>(Out[I]) * Out[I];
@@ -46,12 +46,12 @@ public:
     const double Unused = loss();
     (void)Unused;
     Network.zeroGrads();
-    const Tensor &Out = Network.activation(OutNode);
+    const Tensor &Out = Ctx.activation(OutNode);
     Tensor Seed(Out.shape());
     for (size_t I = 0; I < Out.size(); ++I)
       Seed[I] = Out[I];
-    Network.seedGradient(OutNode, Seed);
-    Network.backward();
+    Ctx.seedGradient(OutNode, Seed);
+    Ctx.backward(Network);
   }
 
   /// Checks all parameters of \p NodeName (sub-sampled for big tensors).
@@ -80,6 +80,7 @@ public:
 
 private:
   Graph &Network;
+  ExecContext Ctx;
   std::string InputNode;
   std::string OutNode;
   Tensor Input;

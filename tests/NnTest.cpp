@@ -72,9 +72,10 @@ TEST(LayerForwardTest, ReluClampsNegatives) {
   Network.addInput("x");
   Network.addNode("relu", std::make_unique<ReLU>(), {"x"});
   Tensor In(Shape{1, 1, 1, 4}, {-1.0f, 0.0f, 2.0f, -3.0f});
-  Network.setInput("x", In);
-  Network.forward(false);
-  const Tensor &Out = Network.activation("relu");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, false);
+  const Tensor &Out = Ctx.activation("relu");
   EXPECT_FLOAT_EQ(Out[0], 0.0f);
   EXPECT_FLOAT_EQ(Out[2], 2.0f);
   EXPECT_FLOAT_EQ(Out[3], 0.0f);
@@ -86,9 +87,10 @@ TEST(LayerForwardTest, MaxPoolPicksMaximum) {
   Network.addNode("pool", std::make_unique<Pool2D>(Pool2D::Mode::Max, 2, 2),
                   {"x"});
   Tensor In(Shape{1, 1, 2, 2}, {1.0f, 5.0f, 3.0f, 2.0f});
-  Network.setInput("x", In);
-  Network.forward(false);
-  EXPECT_FLOAT_EQ(Network.activation("pool")[0], 5.0f);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, false);
+  EXPECT_FLOAT_EQ(Ctx.activation("pool")[0], 5.0f);
 }
 
 TEST(LayerForwardTest, GlobalAvgPoolAverages) {
@@ -96,10 +98,11 @@ TEST(LayerForwardTest, GlobalAvgPoolAverages) {
   Network.addInput("x");
   Network.addNode("gap", std::make_unique<GlobalAvgPool>(), {"x"});
   Tensor In(Shape{1, 2, 1, 2}, {1.0f, 3.0f, 10.0f, 20.0f});
-  Network.setInput("x", In);
-  Network.forward(false);
-  EXPECT_FLOAT_EQ(Network.activation("gap")[0], 2.0f);
-  EXPECT_FLOAT_EQ(Network.activation("gap")[1], 15.0f);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, false);
+  EXPECT_FLOAT_EQ(Ctx.activation("gap")[0], 2.0f);
+  EXPECT_FLOAT_EQ(Ctx.activation("gap")[1], 15.0f);
 }
 
 TEST(LayerForwardTest, ConvIdentityKernel) {
@@ -114,9 +117,10 @@ TEST(LayerForwardTest, ConvIdentityKernel) {
   Conv.weight().Value.at(1, 1, 0, 0) = 1.0f;
   Tensor In(Shape{1, 2, 2, 2},
             {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f});
-  Network.setInput("x", In);
-  Network.forward(false);
-  const Tensor &Out = Network.activation("conv");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, false);
+  const Tensor &Out = Ctx.activation("conv");
   for (size_t I = 0; I < In.size(); ++I)
     EXPECT_FLOAT_EQ(Out[I], In[I]);
 }
@@ -126,9 +130,10 @@ TEST(LayerForwardTest, BatchNormNormalizesInTraining) {
   Network.addInput("x");
   Network.addNode("bn", std::make_unique<BatchNorm2D>(1), {"x"});
   Tensor In(Shape{1, 1, 2, 2}, {2.0f, 4.0f, 6.0f, 8.0f});
-  Network.setInput("x", In);
-  Network.forward(true);
-  const Tensor &Out = Network.activation("bn");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, true);
+  const Tensor &Out = Ctx.activation("bn");
   // Default gamma=1, beta=0: output has zero mean and unit variance.
   double Mean = 0.0;
   for (size_t I = 0; I < Out.size(); ++I)
@@ -148,10 +153,11 @@ TEST(LayerForwardTest, BatchNormUsesRunningStatsInEval) {
   Bn.runningMean().Value[0] = 1.0f;
   Bn.runningVar().Value[0] = 4.0f;
   Tensor In(Shape{1, 1, 1, 1}, {5.0f});
-  Network.setInput("x", In);
-  Network.forward(false);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, false);
   // (5 - 1) / sqrt(4 + eps) ~= 2.
-  EXPECT_NEAR(Network.activation("bn")[0], 2.0f, 1e-3);
+  EXPECT_NEAR(Ctx.activation("bn")[0], 2.0f, 1e-3);
 }
 
 //===----------------------------------------------------------------------===//
@@ -169,10 +175,11 @@ TEST(GraphTest, TopologicalExecutionAndActivations) {
   Network.addNode("a", tinyConv(1, 2), {"x"});
   Network.addNode("b", tinyConv(2, 3), {"a"});
   Network.initParams(Generator);
-  Network.setInput("x", Tensor(Shape{1, 1, 2, 2}));
-  Network.forward(false);
-  EXPECT_EQ(Network.activation("a").shape(), Shape({1, 2, 2, 2}));
-  EXPECT_EQ(Network.activation("b").shape(), Shape({1, 3, 2, 2}));
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", Tensor(Shape{1, 1, 2, 2}));
+  Ctx.forward(Network, false);
+  EXPECT_EQ(Ctx.activation("a").shape(), Shape({1, 2, 2, 2}));
+  EXPECT_EQ(Ctx.activation("b").shape(), Shape({1, 3, 2, 2}));
 }
 
 TEST(GraphTest, NodeNamesInOrder) {
@@ -210,13 +217,14 @@ TEST(GraphTest, BackwardStopsAtFrozenSubgraph) {
   Network.initParams(Generator);
   Network.setTrainable("teacher", false);
 
-  Network.setInput("x", Tensor(Shape{1, 1, 2, 2}, {1, 2, 3, 4}));
-  Network.forward(true);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", Tensor(Shape{1, 1, 2, 2}, {1, 2, 3, 4}));
+  Ctx.forward(Network, true);
   Network.zeroGrads();
-  Tensor Seed(Network.activation("student").shape());
+  Tensor Seed(Ctx.activation("student").shape());
   Seed.fill(1.0f);
-  Network.seedGradient("student", Seed);
-  Network.backward();
+  Ctx.seedGradient("student", Seed);
+  Ctx.backward(Network);
 
   auto &Teacher = static_cast<Conv2D &>(Network.layer("teacher"));
   auto &Student = static_cast<Conv2D &>(Network.layer("student"));
@@ -232,13 +240,14 @@ TEST(GraphTest, GradientsAccumulateAcrossConsumers) {
   Network.addNode("a", tinyConv(1, 2), {"x"});
   Network.addNode("sum", std::make_unique<Add>(), {"a", "a"});
   Network.initParams(Generator);
-  Network.setInput("x", Tensor(Shape{1, 1, 1, 1}, {1.0f}));
-  Network.forward(true);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+  Ctx.forward(Network, true);
   Network.zeroGrads();
-  Tensor Seed(Network.activation("sum").shape());
+  Tensor Seed(Ctx.activation("sum").shape());
   Seed.fill(1.0f);
-  Network.seedGradient("sum", Seed);
-  Network.backward();
+  Ctx.seedGradient("sum", Seed);
+  Ctx.backward(Network);
   auto &A = static_cast<Conv2D &>(Network.layer("a"));
   // dL/dbias = 2 (each output channel used twice with grad 1).
   EXPECT_FLOAT_EQ(A.bias()->Grad[0], 2.0f);
@@ -384,9 +393,10 @@ TEST(DropoutTest, EvalModeIsIdentity) {
   Network.addInput("x");
   Network.addNode("drop", std::make_unique<Dropout>(0.5f), {"x"});
   Tensor In(Shape{1, 1, 2, 2}, {1.0f, -2.0f, 3.0f, 4.0f});
-  Network.setInput("x", In);
-  Network.forward(/*Training=*/false);
-  const Tensor &Out = Network.activation("drop");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, /*Training=*/false);
+  const Tensor &Out = Ctx.activation("drop");
   for (size_t I = 0; I < In.size(); ++I)
     EXPECT_FLOAT_EQ(Out[I], In[I]);
 }
@@ -398,9 +408,10 @@ TEST(DropoutTest, TrainingDropsRoughlyDropRate) {
                   {"x"});
   Tensor In(Shape{1, 1, 40, 40});
   In.fill(1.0f);
-  Network.setInput("x", In);
-  Network.forward(/*Training=*/true);
-  const Tensor &Out = Network.activation("drop");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, /*Training=*/true);
+  const Tensor &Out = Ctx.activation("drop");
   int Zeros = 0;
   for (size_t I = 0; I < Out.size(); ++I) {
     if (Out[I] == 0.0f)
@@ -425,15 +436,16 @@ TEST(DropoutTest, BackwardMasksSamePositions) {
 
   Tensor In(Shape{1, 1, 4, 4});
   In.fill(1.0f);
-  Network.setInput("x", In);
-  Network.forward(/*Training=*/true);
-  const Tensor Out = Network.activation("drop");
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, /*Training=*/true);
+  const Tensor Out = Ctx.activation("drop");
 
   Network.zeroGrads();
   Tensor Seed(Out.shape());
   Seed.fill(1.0f);
-  Network.seedGradient("drop", Seed);
-  Network.backward();
+  Ctx.seedGradient("drop", Seed);
+  Ctx.backward(Network);
   // dL/dbias of the conv sums the mask: equals the number of survivors
   // times the inverted scale.
   int Survivors = 0;
@@ -447,10 +459,11 @@ TEST(DropoutTest, ZeroRateIsAlwaysIdentity) {
   Network.addInput("x");
   Network.addNode("drop", std::make_unique<Dropout>(0.0f), {"x"});
   Tensor In(Shape{1, 1, 2, 2}, {5.0f, 6.0f, 7.0f, 8.0f});
-  Network.setInput("x", In);
-  Network.forward(/*Training=*/true);
+  ExecContext Ctx(Network);
+  Ctx.setInput("x", In);
+  Ctx.forward(Network, /*Training=*/true);
   for (size_t I = 0; I < In.size(); ++I)
-    EXPECT_FLOAT_EQ(Network.activation("drop")[I], In[I]);
+    EXPECT_FLOAT_EQ(Ctx.activation("drop")[I], In[I]);
 }
 
 } // namespace

@@ -368,6 +368,9 @@ TEST(CheckpointStoreConcurrencyTest, CaptureSaveLoadStress) {
   Saver.join();
   Loader.join();
 
+  // The saver may finish its 16 saves before the last insert lands, so
+  // mirror the complete store once more before checking the count.
+  ASSERT_FALSE(static_cast<bool>(Store.saveTo(Dir.str())));
   CheckpointStore Final;
   Result<CheckpointLoadReport> Report =
       Final.loadFrom(Dir.str(), CheckpointLoadMode::Replace);

@@ -112,14 +112,16 @@ TEST_P(RandomModelProperty, FullAndFineTuneModesForward) {
   Tensor Input(Shape{2, 3, Spec.InputHeight, Spec.InputWidth});
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = Generator.nextGaussian();
-  Full.setInput(Spec.InputName, Input);
-  Full.forward(false);
-  Pruned.setInput(Spec.InputName, Input);
-  Pruned.forward(false);
+  ExecContext FullCtx(Full);
+  FullCtx.setInput(Spec.InputName, Input);
+  FullCtx.forward(Full, false);
+  ExecContext PrunedCtx(Pruned);
+  PrunedCtx.setInput(Spec.InputName, Input);
+  PrunedCtx.forward(Pruned, false);
   const int Classes = Spec.Layers.back().NumOutput;
-  EXPECT_EQ(Full.activation(FullBuilt->LogitsNode).shape(),
+  EXPECT_EQ(FullCtx.activation(FullBuilt->LogitsNode).shape(),
             Shape({2, Classes}));
-  EXPECT_EQ(Pruned.activation(PrunedBuilt->LogitsNode).shape(),
+  EXPECT_EQ(PrunedCtx.activation(PrunedBuilt->LogitsNode).shape(),
             Shape({2, Classes}));
   // The pruned model has fewer parameters whenever any module is pruned.
   bool AnyPruned = false;
@@ -149,12 +151,14 @@ TEST_P(RandomModelProperty, UnprunedTransferIsFunctionIdentity) {
   Tensor Input(Shape{1, 3, Spec.InputHeight, Spec.InputWidth});
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = Generator.nextGaussian();
-  Full.setInput(Spec.InputName, Input);
-  Full.forward(false);
-  Copy.setInput(Spec.InputName, Input);
-  Copy.forward(false);
-  const Tensor &A = Full.activation(FullBuilt->LogitsNode);
-  const Tensor &B = Copy.activation(CopyBuilt->LogitsNode);
+  ExecContext FullCtx(Full);
+  FullCtx.setInput(Spec.InputName, Input);
+  FullCtx.forward(Full, false);
+  ExecContext CopyCtx(Copy);
+  CopyCtx.setInput(Spec.InputName, Input);
+  CopyCtx.forward(Copy, false);
+  const Tensor &A = FullCtx.activation(FullBuilt->LogitsNode);
+  const Tensor &B = CopyCtx.activation(CopyBuilt->LogitsNode);
   ASSERT_EQ(A.shape(), B.shape());
   for (size_t I = 0; I < A.size(); ++I)
     ASSERT_NEAR(A[I], B[I], 1e-5) << "logit " << I;
@@ -179,8 +183,9 @@ TEST_P(RandomModelProperty, PrunedTransferKeepsSelectedSlices) {
   transferWeights(Spec, Selections, Full, "full", Pruned, "net");
   // Forward must run; selections must be ascending subsets.
   Tensor Input(Shape{1, 3, Spec.InputHeight, Spec.InputWidth});
-  Pruned.setInput(Spec.InputName, Input);
-  Pruned.forward(false);
+  ExecContext PrunedCtx(Pruned);
+  PrunedCtx.setInput(Spec.InputName, Input);
+  PrunedCtx.forward(Pruned, false);
   for (const auto &[Name, Kept] : Selections) {
     ASSERT_FALSE(Kept.empty()) << Name;
     for (size_t I = 1; I < Kept.size(); ++I)
@@ -207,11 +212,12 @@ TEST_P(RandomModelProperty, PreTrainModeWiresEveryBlock) {
   Tensor Input(Shape{1, 3, Spec.InputHeight, Spec.InputWidth});
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = Generator.nextGaussian();
-  Network.setInput(Spec.InputName, Input);
-  Network.forward(true);
+  ExecContext Ctx(Network);
+  Ctx.setInput(Spec.InputName, Input);
+  Ctx.forward(Network, true);
   for (const BlockPort &Port : Built->Ports)
-    ASSERT_EQ(Network.activation(Port.StudentOut).shape(),
-              Network.activation(Port.TeacherOut).shape())
+    ASSERT_EQ(Ctx.activation(Port.StudentOut).shape(),
+              Ctx.activation(Port.TeacherOut).shape())
         << Port.Block.id();
 }
 
@@ -241,10 +247,11 @@ TEST_P(ConvGeometrySweep, WeightGradientsMatchFiniteDifferences) {
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = Generator.nextGaussian();
 
+  ExecContext Ctx(Network);
   auto loss = [&]() {
-    Network.setInput("x", Input);
-    Network.forward(true);
-    const Tensor &Out = Network.activation("conv");
+    Ctx.setInput("x", Input);
+    Ctx.forward(Network, true);
+    const Tensor &Out = Ctx.activation("conv");
     double Total = 0.0;
     for (size_t I = 0; I < Out.size(); ++I)
       Total += 0.5 * static_cast<double>(Out[I]) * Out[I];
@@ -252,12 +259,12 @@ TEST_P(ConvGeometrySweep, WeightGradientsMatchFiniteDifferences) {
   };
   loss();
   Network.zeroGrads();
-  const Tensor &Out = Network.activation("conv");
+  const Tensor &Out = Ctx.activation("conv");
   Tensor Seed(Out.shape());
   for (size_t I = 0; I < Out.size(); ++I)
     Seed[I] = Out[I];
-  Network.seedGradient("conv", Seed);
-  Network.backward();
+  Ctx.seedGradient("conv", Seed);
+  Ctx.backward(Network);
 
   Param &Weight = *Network.layer("conv").params()[0];
   std::vector<float> Analytic(Weight.Grad.data(),

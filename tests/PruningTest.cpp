@@ -287,12 +287,14 @@ TEST_F(TransferFixture, UnprunedTransferReproducesFullOutputs) {
   Rng DataGen(31);
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = DataGen.nextGaussian();
-  Full.setInput("data", Input);
-  Full.forward(false);
-  Copy.setInput("data", Input);
-  Copy.forward(false);
-  const Tensor &A = Full.activation("full/logits");
-  const Tensor &B = Copy.activation("net/logits");
+  ExecContext FullCtx(Full);
+  FullCtx.setInput("data", Input);
+  FullCtx.forward(Full, false);
+  ExecContext CopyCtx(Copy);
+  CopyCtx.setInput("data", Input);
+  CopyCtx.forward(Copy, false);
+  const Tensor &A = FullCtx.activation("full/logits");
+  const Tensor &B = CopyCtx.activation("net/logits");
   ASSERT_EQ(A.shape(), B.shape());
   for (size_t I = 0; I < A.size(); ++I)
     ASSERT_NEAR(A[I], B[I], 1e-5);
@@ -325,9 +327,10 @@ TEST_F(TransferFixture, InceptionDenseSlicingRespectsConcatOffsets) {
 
   // Forward must run cleanly end to end on the pruned network.
   Tensor Input(Shape{1, 3, 8, 8});
-  Pruned.setInput("data", Input);
-  Pruned.forward(false);
-  EXPECT_EQ(Pruned.activation("net/logits").shape(), Shape({1, 6}));
+  ExecContext PrunedCtx(Pruned);
+  PrunedCtx.setInput("data", Input);
+  PrunedCtx.forward(Pruned, false);
+  EXPECT_EQ(PrunedCtx.activation("net/logits").shape(), Shape({1, 6}));
 }
 
 } // namespace

@@ -50,6 +50,28 @@ protected:
   TrainMeta Meta;
 };
 
+/// Pre-trains every group of \p Pending in partition order, each from
+/// its own seed, against the teacher \p Full (nodes "full/..."). Returns
+/// the per-group stats; a failing group is recorded as a test failure
+/// and ends the run early.
+std::vector<GroupPretrainStats>
+pretrainPending(const PendingGroups &Pending, const MultiplexingModel &Model,
+                Graph &Full, const Dataset &Data, const TrainMeta &Meta,
+                CheckpointStore &Store) {
+  std::vector<GroupPretrainStats> Stats;
+  for (size_t G = 0; G < Pending.Groups.size(); ++G) {
+    Rng GroupGen(Pending.Seeds[G]);
+    Result<GroupPretrainStats> Group =
+        pretrainGroup(Model, Full, "full", Pending.Groups[G], Data, Meta,
+                      Store, GroupGen);
+    EXPECT_TRUE(static_cast<bool>(Group)) << Group.message();
+    if (!Group)
+      break;
+    Stats.push_back(Group.take());
+  }
+  return Stats;
+}
+
 TEST_F(TrainFixture, TrainingImprovesFullModelAccuracy) {
   Rng Generator(61);
   Graph Network;
@@ -142,12 +164,14 @@ TEST_F(TrainFixture, CheckpointCaptureRestoreRoundTrip) {
   Rng DataGen(65);
   for (size_t I = 0; I < Input.size(); ++I)
     Input[I] = DataGen.nextGaussian();
-  A.setInput("data", Input);
-  A.forward(false);
-  B.setInput("data", Input);
-  B.forward(false);
-  const Tensor &OutA = A.activation("full/logits");
-  const Tensor &OutB = B.activation("net/logits");
+  ExecContext ACtx(A);
+  ACtx.setInput("data", Input);
+  ACtx.forward(A, false);
+  ExecContext BCtx(B);
+  BCtx.setInput("data", Input);
+  BCtx.forward(B, false);
+  const Tensor &OutA = ACtx.activation("full/logits");
+  const Tensor &OutB = BCtx.activation("net/logits");
   for (size_t I = 0; I < OutA.size(); ++I)
     ASSERT_FLOAT_EQ(OutA[I], OutB[I]);
 }
@@ -342,16 +366,18 @@ TEST_F(TrainFixture, PretrainReducesReconstructionLoss) {
   CheckpointStore Store;
   const std::vector<TuningBlock> Blocks{TuningBlock{0, {0.7f}},
                                         TuningBlock{2, {0.5f}}};
-  Result<PretrainStats> Stats =
-      pretrainBlocks(*Model, Full->Network, "full", Blocks, Data, Meta,
-                     Store, Generator);
-  ASSERT_TRUE(static_cast<bool>(Stats)) << Stats.message();
-  EXPECT_EQ(Stats->BlockCount, 2);
-  EXPECT_EQ(Stats->GroupCount, 1); // Non-overlapping blocks share a group.
+  const PendingGroups Pending =
+      pendingBlockGroups(Blocks, Store, nullptr, Generator.next());
+  EXPECT_EQ(Pending.BlockCount, 2);
+  // Non-overlapping blocks share a group.
+  ASSERT_EQ(Pending.Groups.size(), 1u);
+  const std::vector<GroupPretrainStats> Stats =
+      pretrainPending(Pending, *Model, Full->Network, Data, Meta, Store);
+  ASSERT_EQ(Stats.size(), 1u);
   EXPECT_TRUE(Store.contains("m0@0.7"));
   EXPECT_TRUE(Store.contains("m2@0.5"));
   // The Teacher-Student objective must actually decrease.
-  EXPECT_LT(Stats->LastLoss, Stats->FirstLoss);
+  EXPECT_LT(Stats[0].LastLoss, Stats[0].FirstLoss);
 }
 
 TEST_F(TrainFixture, PretrainSkipsStoredAndIdentityBlocks) {
@@ -362,14 +388,17 @@ TEST_F(TrainFixture, PretrainSkipsStoredAndIdentityBlocks) {
   CheckpointStore Store;
   const std::vector<TuningBlock> Blocks{TuningBlock{0, {0.5f}},
                                         TuningBlock{1, {0.0f}}};
-  Result<PretrainStats> First = pretrainBlocks(
-      *Model, Full->Network, "full", Blocks, Data, Meta, Store, Generator);
-  ASSERT_TRUE(static_cast<bool>(First));
-  EXPECT_EQ(First->BlockCount, 1); // Identity block skipped.
-  Result<PretrainStats> Second = pretrainBlocks(
-      *Model, Full->Network, "full", Blocks, Data, Meta, Store, Generator);
-  ASSERT_TRUE(static_cast<bool>(Second));
-  EXPECT_EQ(Second->BlockCount, 0); // Already stored.
+  const PendingGroups First =
+      pendingBlockGroups(Blocks, Store, nullptr, Generator.next());
+  EXPECT_EQ(First.BlockCount, 1); // Identity block skipped.
+  ASSERT_EQ(
+      pretrainPending(First, *Model, Full->Network, Data, Meta, Store)
+          .size(),
+      First.Groups.size());
+  const PendingGroups Second =
+      pendingBlockGroups(Blocks, Store, nullptr, Generator.next());
+  EXPECT_EQ(Second.BlockCount, 0); // Already stored.
+  EXPECT_TRUE(Second.Groups.empty());
 }
 
 TEST_F(TrainFixture, OverlappingBlocksLandInSeparateGroups) {
@@ -383,11 +412,13 @@ TEST_F(TrainFixture, OverlappingBlocksLandInSeparateGroups) {
       TuningBlock{0, {0.7f}}};
   TrainMeta Short = Meta;
   Short.PretrainSteps = 5;
-  Result<PretrainStats> Stats = pretrainBlocks(
-      *Model, Full->Network, "full", Blocks, Data, Short, Store, Generator);
-  ASSERT_TRUE(static_cast<bool>(Stats));
-  EXPECT_EQ(Stats->GroupCount, 3);
-  EXPECT_EQ(Stats->GroupSeconds.size(), 3u);
+  const PendingGroups Pending =
+      pendingBlockGroups(Blocks, Store, nullptr, Generator.next());
+  EXPECT_EQ(Pending.Groups.size(), 3u);
+  EXPECT_EQ(
+      pretrainPending(Pending, *Model, Full->Network, Data, Short, Store)
+          .size(),
+      3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -408,9 +439,12 @@ TEST_F(TrainFixture, BlockTrainedInitBeatsDefaultInit) {
   for (int M = 0; M < Spec.moduleCount(); ++M)
     Blocks.push_back(TuningBlock{M, {0.7f}});
   CheckpointStore Store;
-  Result<PretrainStats> Stats = pretrainBlocks(
-      *Model, Full->Network, "full", Blocks, Data, Meta, Store, Generator);
-  ASSERT_TRUE(static_cast<bool>(Stats)) << Stats.message();
+  const PendingGroups Pending =
+      pendingBlockGroups(Blocks, Store, nullptr, Generator.next());
+  ASSERT_EQ(
+      pretrainPending(Pending, *Model, Full->Network, Data, Meta, Store)
+          .size(),
+      Pending.Groups.size());
 
   Result<AssembledNetwork> Default = buildPrunedNetwork(
       *Model, Config, Full->Network, "full", nullptr, nullptr, Generator);
