@@ -5,6 +5,7 @@
 #include "src/tensor/Kernels.h"
 #include "src/tensor/PackedWeights.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -23,6 +24,12 @@ size_t Layer::paramCount() {
 //===----------------------------------------------------------------------===//
 // Conv2D
 //===----------------------------------------------------------------------===//
+
+/// True when the im2col matrix of \p G is the input plane itself (1x1,
+/// stride 1, no padding): C x H*W, one row per channel.
+static bool isPointwise(const ConvGeometry &G) {
+  return G.KernelSize == 1 && G.Stride == 1 && G.Pad == 0;
+}
 
 Conv2D::Conv2D(ConvGeometry Geometry, bool HasBias)
     : Geometry(Geometry), HasBias(HasBias),
@@ -76,12 +83,14 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   }
 
   // Training keeps the whole batch's im2col expansion for backward to
-  // reuse.
+  // reuse. A pointwise conv's im2col matrix is its input plane, which
+  // the GEMMs read in place.
+  const bool Pointwise = isPointwise(Geometry);
   if (Scratch.Buffers.empty())
     Scratch.Buffers.emplace_back();
   Tensor *Cols = &Scratch.Buffers[0];
   const Shape ColsShape{Batch, 1, ColRows, ColCols};
-  if (Cols->shape() != ColsShape)
+  if (!Pointwise && Cols->shape() != ColsShape)
     *Cols = Tensor(ColsShape);
 
   const size_t InPlane = static_cast<size_t>(Geometry.InChannels) * Height *
@@ -99,9 +108,13 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   const size_t Grain = parallelWorthwhile(BatchFlops) ? 1 : Batch;
   kernelParallelFor(Batch, Grain, [&](size_t Begin, size_t End) {
     for (size_t N = Begin; N < End; ++N) {
-      float *SampleCols = Cols->data() + N * ColsPlane;
-      im2col(In.data() + N * InPlane, Geometry.InChannels, Height, Width,
-             Geometry, SampleCols);
+      const float *SampleCols = In.data() + N * InPlane;
+      if (!Pointwise) {
+        float *Expanded = Cols->data() + N * ColsPlane;
+        im2col(SampleCols, Geometry.InChannels, Height, Width, Geometry,
+               Expanded);
+        SampleCols = Expanded;
+      }
       float *OutSample = Out.data() + N * OutPlane;
       if (BiasPtr)
         gemmBias(WeightPtr, SampleCols, BiasPtr, OutSample,
@@ -128,29 +141,37 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
       Geometry.InChannels * Geometry.KernelSize * Geometry.KernelSize;
   const int ColCols = OutH * OutW;
 
+  const bool Pointwise = isPointwise(Geometry);
   const Shape ColsShape{Batch, 1, ColRows, ColCols};
-  assert(!Scratch.Buffers.empty() && Scratch.Buffers[0].shape() == ColsShape &&
+  assert(!Scratch.Buffers.empty() &&
+         (Pointwise || Scratch.Buffers[0].shape() == ColsShape) &&
          "conv backward requires the training-mode forward pass's im2col "
          "buffer");
   (void)ColsShape;
-  Tensor &Cols = Scratch.Buffers[0];
   const size_t ColsPlane = static_cast<size_t>(ColRows) * ColCols;
   const size_t OutPlane =
       static_cast<size_t>(Geometry.OutChannels) * ColCols;
   const size_t InPlane = static_cast<size_t>(Geometry.InChannels) * Height *
                          Width;
+  const float *Cols = Pointwise ? In.data() : Scratch.Buffers[0].data();
 
   Tensor *GradIn = GradInputs[0];
-  const size_t WeightCount = Weight.Grad.size();
-  const size_t BiasCount = static_cast<size_t>(Geometry.OutChannels);
+  const int WeightCount = static_cast<int>(Weight.Grad.size());
+  const int BiasCount = Geometry.OutChannels;
 
   // Samples split across the kernel workers. Input gradients land in
-  // disjoint per-sample planes; parameter gradients accumulate into
-  // per-sample buffers that are reduced in sample order below, so the
-  // result is bit-identical for any worker count (and matches the old
-  // serial sample-by-sample accumulation order).
-  std::vector<std::vector<float>> WeightGrads(Batch);
-  std::vector<std::vector<float>> BiasGrads(HasBias ? Batch : 0);
+  // disjoint per-sample planes; parameter gradients go to per-sample
+  // rows of scratch buffers [1] and [2] that are reduced in sample order
+  // below, so the result is bit-identical for any worker count (and
+  // matches serial sample-by-sample accumulation).
+  if (Scratch.Buffers.size() < 3)
+    Scratch.Buffers.resize(3);
+  Tensor &WeightGrads = Scratch.Buffers[1];
+  if (WeightGrads.shape() != Shape{Batch, WeightCount})
+    WeightGrads = Tensor(Shape{Batch, WeightCount});
+  Tensor &BiasGrads = Scratch.Buffers[2];
+  if (HasBias && BiasGrads.shape() != Shape{Batch, BiasCount})
+    BiasGrads = Tensor(Shape{Batch, BiasCount});
 
   // Roughly three forward-sized GEMMs per sample (dW, dCols, col2im
   // traffic); fan out only when the measured cost model approves.
@@ -160,16 +181,14 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
   kernelParallelFor(Batch, Grain, [&](size_t Begin, size_t End) {
     KernelScratch &Local = KernelScratch::forCurrentThread();
     for (size_t N = Begin; N < End; ++N) {
-      const float *SampleCols = Cols.data() + N * ColsPlane;
+      const float *SampleCols = Cols + N * ColsPlane;
       const float *GradOutSample = GradOut.data() + N * OutPlane;
       // dW(sample) = dOut * cols^T.
-      std::vector<float> &WGrad = WeightGrads[N];
-      WGrad.resize(WeightCount);
-      gemmTransposeB(GradOutSample, SampleCols, WGrad.data(),
+      gemmTransposeB(GradOutSample, SampleCols,
+                     WeightGrads.data() + N * WeightCount,
                      Geometry.OutChannels, ColCols, ColRows);
       if (HasBias) {
-        std::vector<float> &BGrad = BiasGrads[N];
-        BGrad.resize(BiasCount);
+        float *BGrad = BiasGrads.data() + N * BiasCount;
         for (int O = 0; O < Geometry.OutChannels; ++O) {
           const float *Plane =
               GradOutSample + static_cast<size_t>(O) * ColCols;
@@ -191,9 +210,11 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
   });
 
   for (int N = 0; N < Batch; ++N) {
-    axpy(1.0f, WeightGrads[N].data(), Weight.Grad.data(), WeightCount);
+    axpy(1.0f, WeightGrads.data() + N * WeightCount, Weight.Grad.data(),
+         WeightCount);
     if (HasBias)
-      axpy(1.0f, BiasGrads[N].data(), Bias.Grad.data(), BiasCount);
+      axpy(1.0f, BiasGrads.data() + N * BiasCount, Bias.Grad.data(),
+           BiasCount);
   }
 }
 
@@ -388,8 +409,10 @@ void ReLU::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   (void)Scratch;
   (void)Training;
   const Tensor &In = *Inputs[0];
-  for (size_t I = 0; I < In.size(); ++I)
-    Out[I] = In[I] > 0.0f ? In[I] : 0.0f;
+  const float *X = In.data();
+  float *Y = Out.data();
+  for (size_t I = 0, Count = In.size(); I < Count; ++I)
+    Y[I] = X[I] > 0.0f ? X[I] : 0.0f;
 }
 
 void ReLU::backward(const std::vector<const Tensor *> &Inputs,
@@ -401,9 +424,20 @@ void ReLU::backward(const std::vector<const Tensor *> &Inputs,
   Tensor *GradIn = GradInputs[0];
   if (!GradIn)
     return;
-  for (size_t I = 0; I < Out.size(); ++I)
-    if (Out[I] > 0.0f)
-      (*GradIn)[I] += GradOut[I];
+  // Branch-free so it vectorizes: where the unit is off, add -0.0f,
+  // which leaves every value (±0, denormals, NaN) unchanged, so this is
+  // a conditional add bit for bit. Spelled as a select followed by a
+  // plain add: under GCC's default -ftrapping-math neither an `if` nor
+  // `GX[I] += Y[I] > 0 ? G : -0.0f` (folded back into a conditional
+  // add) vectorizes.
+  const float *Y = Out.data();
+  const float *GY = GradOut.data();
+  float *GX = GradIn->data();
+  for (size_t I = 0, Count = Out.size(); I < Count; ++I) {
+    const float G = GY[I];
+    const float Passed = Y[I] > 0.0f ? G : -0.0f;
+    GX[I] = GX[I] + Passed;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,72 +459,117 @@ Shape Pool2D::outputShape(const std::vector<Shape> &InputShapes) const {
   return Shape{In[0], In[1], OutH, OutW};
 }
 
+namespace {
+
+/// The taps [Lo, Hi) of a pooling window starting at \p Start that fall
+/// inside [0, Extent).
+void windowTaps(int Start, int Window, int Extent, int &Lo, int &Hi) {
+  Lo = std::max(0, -Start);
+  Hi = std::max(Lo, std::min(Window, Extent - Start));
+}
+
+} // namespace
+
+// Pooling sums every window's taps in (KH, KW) order and visits outputs
+// in (N, C, OH, OW) order, so results are bit-identical to per-tap
+// bounds-checked loops (KernelGatherTest keeps them as oracles). Two
+// rules make the hot stride-1 average pooling (every inception
+// module's pool branch) vectorize: a tap in the padding contributes
+// -0.0f, which leaves any sum unchanged (+0 + -0 is +0), so the window
+// sums run unchecked over a -0.0f-padded plane; and backward gathers
+// instead of scattering, each input element adding its windows' shares
+// in ascending (OH, OW) order, the order a scatter over outputs would
+// deliver them.
+
 void Pool2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                      LayerScratch &Scratch, bool Training) const {
   (void)Training;
   const Tensor &In = *Inputs[0];
-  const int Batch = In.shape()[0];
-  const int Chans = In.shape()[1];
+  const int Planes = In.shape()[0] * In.shape()[1];
   const int Height = In.shape()[2];
   const int Width = In.shape()[3];
   const int OutH = Out.shape()[2];
   const int OutW = Out.shape()[3];
+  const size_t InPlane = static_cast<size_t>(Height) * Width;
+  const size_t OutPlane = static_cast<size_t>(OutH) * OutW;
+  const float Divisor = static_cast<float>(Window * Window);
+  const float *InData = In.data();
+  float *OutData = Out.data();
+
+  if (PoolMode == Mode::Average && Stride == 1) {
+    const int PaddedW = Width + 2 * Pad;
+    std::vector<float> Padded(static_cast<size_t>(Height + 2 * Pad) * PaddedW,
+                              -0.0f);
+    for (int P = 0; P < Planes; ++P) {
+      const float *Plane = InData + P * InPlane;
+      for (int H = 0; H < Height; ++H)
+        std::copy(Plane + static_cast<size_t>(H) * Width,
+                  Plane + static_cast<size_t>(H + 1) * Width,
+                  Padded.data() + static_cast<size_t>(H + Pad) * PaddedW +
+                      Pad);
+      for (int OH = 0; OH < OutH; ++OH) {
+        float *OutRow = OutData + P * OutPlane + static_cast<size_t>(OH) * OutW;
+        std::fill(OutRow, OutRow + OutW, 0.0f);
+        for (int KH = 0; KH < Window; ++KH) {
+          const float *Row =
+              Padded.data() + static_cast<size_t>(OH + KH) * PaddedW;
+          for (int KW = 0; KW < Window; ++KW)
+            for (int OW = 0; OW < OutW; ++OW)
+              OutRow[OW] += Row[OW + KW];
+        }
+        for (int OW = 0; OW < OutW; ++OW)
+          OutRow[OW] /= Divisor;
+      }
+    }
+    return;
+  }
 
   // For max pooling remember the winning input offset for backward.
-  Tensor *ArgMax = nullptr;
+  float *ArgMax = nullptr;
   if (PoolMode == Mode::Max) {
     if (Scratch.Buffers.empty())
       Scratch.Buffers.emplace_back();
     if (Scratch.Buffers[0].shape() != Out.shape())
       Scratch.Buffers[0] = Tensor(Out.shape());
-    ArgMax = &Scratch.Buffers[0];
+    ArgMax = Scratch.Buffers[0].data();
   }
 
+  std::vector<int> ColLo(OutW), ColHi(OutW);
+  for (int OW = 0; OW < OutW; ++OW)
+    windowTaps(OW * Stride - Pad, Window, Width, ColLo[OW], ColHi[OW]);
   size_t OutIndex = 0;
-  for (int N = 0; N < Batch; ++N) {
-    for (int C = 0; C < Chans; ++C) {
-      const float *Plane =
-          In.data() + (static_cast<size_t>(N) * Chans + C) * Height * Width;
-      for (int OH = 0; OH < OutH; ++OH) {
-        for (int OW = 0; OW < OutW; ++OW, ++OutIndex) {
-          const int H0 = OH * Stride - Pad;
-          const int W0 = OW * Stride - Pad;
-          if (PoolMode == Mode::Max) {
-            float Best = -3.4e38f;
-            int BestOffset = -1;
-            for (int KH = 0; KH < Window; ++KH) {
-              const int IH = H0 + KH;
-              if (IH < 0 || IH >= Height)
-                continue;
-              for (int KW = 0; KW < Window; ++KW) {
-                const int IW = W0 + KW;
-                if (IW < 0 || IW >= Width)
-                  continue;
-                const int Offset = IH * Width + IW;
-                if (Plane[Offset] > Best) {
-                  Best = Plane[Offset];
-                  BestOffset = Offset;
-                }
+  for (int P = 0; P < Planes; ++P) {
+    const float *Plane = InData + P * InPlane;
+    for (int OH = 0; OH < OutH; ++OH) {
+      const int H0 = OH * Stride - Pad;
+      int RowLo, RowHi;
+      windowTaps(H0, Window, Height, RowLo, RowHi);
+      for (int OW = 0; OW < OutW; ++OW, ++OutIndex) {
+        const int W0 = OW * Stride - Pad;
+        if (ArgMax) {
+          float Best = -3.4e38f;
+          int BestOffset = -1;
+          for (int KH = RowLo; KH < RowHi; ++KH) {
+            const int RowOffset = (H0 + KH) * Width + W0;
+            for (int KW = ColLo[OW]; KW < ColHi[OW]; ++KW) {
+              const int Offset = RowOffset + KW;
+              if (Plane[Offset] > Best) {
+                Best = Plane[Offset];
+                BestOffset = Offset;
               }
             }
-            assert(BestOffset >= 0 && "empty pooling window");
-            Out[OutIndex] = Best;
-            (*ArgMax)[OutIndex] = static_cast<float>(BestOffset);
-          } else {
-            float Total = 0.0f;
-            for (int KH = 0; KH < Window; ++KH) {
-              const int IH = H0 + KH;
-              if (IH < 0 || IH >= Height)
-                continue;
-              for (int KW = 0; KW < Window; ++KW) {
-                const int IW = W0 + KW;
-                if (IW >= 0 && IW < Width)
-                  Total += Plane[IH * Width + IW];
-              }
-            }
-            Out[OutIndex] =
-                Total / static_cast<float>(Window * Window);
           }
+          assert(BestOffset >= 0 && "empty pooling window");
+          OutData[OutIndex] = Best;
+          ArgMax[OutIndex] = static_cast<float>(BestOffset);
+        } else {
+          float Total = 0.0f;
+          for (int KH = RowLo; KH < RowHi; ++KH) {
+            const int RowOffset = (H0 + KH) * Width + W0;
+            for (int KW = ColLo[OW]; KW < ColHi[OW]; ++KW)
+              Total += Plane[RowOffset + KW];
+          }
+          OutData[OutIndex] = Total / Divisor;
         }
       }
     }
@@ -505,41 +584,77 @@ void Pool2D::backward(const std::vector<const Tensor *> &Inputs,
   if (!GradIn)
     return;
   const Tensor &In = *Inputs[0];
-  const int Batch = In.shape()[0];
-  const int Chans = In.shape()[1];
+  const int Planes = In.shape()[0] * In.shape()[1];
   const int Height = In.shape()[2];
   const int Width = In.shape()[3];
   const int OutH = Out.shape()[2];
   const int OutW = Out.shape()[3];
+  const size_t InPlane = static_cast<size_t>(Height) * Width;
+  const size_t OutPlane = static_cast<size_t>(OutH) * OutW;
+  const float Divisor = static_cast<float>(Window * Window);
+  const float *GradOutData = GradOut.data();
+  float *GradInData = GradIn->data();
 
-  size_t OutIndex = 0;
-  for (int N = 0; N < Batch; ++N) {
-    for (int C = 0; C < Chans; ++C) {
-      float *GradPlane =
-          GradIn->data() +
-          (static_cast<size_t>(N) * Chans + C) * Height * Width;
+  if (PoolMode == Mode::Max) {
+    const float *ArgMax = Scratch.Buffers[0].data();
+    for (int P = 0; P < Planes; ++P) {
+      float *GradPlane = GradInData + P * InPlane;
+      for (size_t I = P * OutPlane, End = I + OutPlane; I < End; ++I)
+        GradPlane[static_cast<int>(ArgMax[I])] += GradOutData[I];
+    }
+    return;
+  }
+
+  if (Stride == 1) {
+    // Shares sit in a plane padded by Window - 1 on every side with
+    // -0.0f, so input (IH, IW) finds the share of window (OH, OW) =
+    // (IH + Pad - Reach + DH, IW + Pad - Reach + DW) at padded
+    // coordinates (IH + Pad + DH, IW + Pad + DW) without a bounds check.
+    const int Reach = Window - 1;
+    const int SharesW = OutW + 2 * Reach;
+    std::vector<float> Shares(static_cast<size_t>(OutH + 2 * Reach) * SharesW,
+                              -0.0f);
+    for (int P = 0; P < Planes; ++P) {
+      const float *GradOutPlane = GradOutData + P * OutPlane;
       for (int OH = 0; OH < OutH; ++OH) {
-        for (int OW = 0; OW < OutW; ++OW, ++OutIndex) {
-          const float Grad = GradOut[OutIndex];
-          if (PoolMode == Mode::Max) {
-            const int Offset =
-                static_cast<int>(Scratch.Buffers[0][OutIndex]);
-            GradPlane[Offset] += Grad;
-            continue;
-          }
-          const float Share = Grad / static_cast<float>(Window * Window);
-          const int H0 = OH * Stride - Pad;
-          const int W0 = OW * Stride - Pad;
-          for (int KH = 0; KH < Window; ++KH) {
-            const int IH = H0 + KH;
-            if (IH < 0 || IH >= Height)
-              continue;
-            for (int KW = 0; KW < Window; ++KW) {
-              const int IW = W0 + KW;
-              if (IW >= 0 && IW < Width)
-                GradPlane[IH * Width + IW] += Share;
-            }
-          }
+        float *ShareRow =
+            Shares.data() + static_cast<size_t>(OH + Reach) * SharesW + Reach;
+        for (int OW = 0; OW < OutW; ++OW)
+          ShareRow[OW] = GradOutPlane[OH * OutW + OW] / Divisor;
+      }
+      float *GradPlane = GradInData + P * InPlane;
+      for (int IH = 0; IH < Height; ++IH) {
+        float *GradRow = GradPlane + static_cast<size_t>(IH) * Width;
+        for (int DH = 0; DH < Window; ++DH) {
+          const float *ShareRow =
+              Shares.data() + static_cast<size_t>(IH + Pad + DH) * SharesW +
+              Pad;
+          for (int DW = 0; DW < Window; ++DW)
+            for (int IW = 0; IW < Width; ++IW)
+              GradRow[IW] += ShareRow[IW + DW];
+        }
+      }
+    }
+    return;
+  }
+
+  std::vector<int> ColLo(OutW), ColHi(OutW);
+  for (int OW = 0; OW < OutW; ++OW)
+    windowTaps(OW * Stride - Pad, Window, Width, ColLo[OW], ColHi[OW]);
+  size_t OutIndex = 0;
+  for (int P = 0; P < Planes; ++P) {
+    float *GradPlane = GradInData + P * InPlane;
+    for (int OH = 0; OH < OutH; ++OH) {
+      const int H0 = OH * Stride - Pad;
+      int RowLo, RowHi;
+      windowTaps(H0, Window, Height, RowLo, RowHi);
+      for (int OW = 0; OW < OutW; ++OW, ++OutIndex) {
+        const float Share = GradOutData[OutIndex] / Divisor;
+        const int W0 = OW * Stride - Pad;
+        for (int KH = RowLo; KH < RowHi; ++KH) {
+          const int RowOffset = (H0 + KH) * Width + W0;
+          for (int KW = ColLo[OW]; KW < ColHi[OW]; ++KW)
+            GradPlane[RowOffset + KW] += Share;
         }
       }
     }
@@ -791,7 +906,7 @@ void Dropout::backward(const std::vector<const Tensor *> &Inputs,
 
 Shape Add::outputShape(const std::vector<Shape> &InputShapes) const {
   assert(InputShapes.size() >= 2 && "add needs at least two inputs");
-  for (const Shape &In : InputShapes)
+  for ([[maybe_unused]] const Shape &In : InputShapes)
     assert(In == InputShapes[0] && "add inputs must have equal shapes");
   return InputShapes[0];
 }

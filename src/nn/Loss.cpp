@@ -87,7 +87,6 @@ double wootz::distillationLoss(const Tensor &StudentLogits,
          "distillation needs matching [batch, classes] logits");
   assert(Temperature > 0.0f && "temperature must be positive");
   const int Batch = StudentLogits.shape()[0];
-  const int Classes = StudentLogits.shape()[1];
   if (GradStudent.shape() != StudentLogits.shape() || GradStudent.empty())
     GradStudent = Tensor(StudentLogits.shape());
 

@@ -80,7 +80,8 @@ Error ModelSpec::analyze() {
                               "' is not a contiguous layer run");
       if (!Modules.empty())
         ClosedModules.insert(Modules.back().Name);
-      Modules.push_back({Label, static_cast<int>(I), static_cast<int>(I)});
+      Modules.push_back(
+          {Label, static_cast<int>(I), static_cast<int>(I), "", ""});
     }
     LayerModule[I] = static_cast<int>(Modules.size()) - 1;
   }
@@ -415,7 +416,7 @@ Result<ModelSpec> wootz::parseModelSpec(const std::string &PrototxtSource) {
   if (Spec.Layers.empty())
     return Error::failure("model '" + Spec.Name + "' has no layers");
   if (Error E = Spec.analyze())
-    return std::move(E);
+    return E;
   return Spec;
 }
 

@@ -256,7 +256,7 @@ public:
 
   Result<PrototxtMessage> parseTopLevel() {
     if (Error E = advance())
-      return std::move(E);
+      return E;
     Result<PrototxtMessage> Msg = parseMessage(/*Nested=*/false);
     if (!Msg)
       return Msg;
@@ -296,24 +296,24 @@ private:
                               Current.Text + "'");
       const std::string FieldName = Current.Text;
       if (Error E = advance())
-        return std::move(E);
+        return E;
 
       // Either "name { ... }", "name: { ... }", or "name: scalar".
       bool SawColon = false;
       if (Current.Kind == TokenKind::Colon) {
         SawColon = true;
         if (Error E = advance())
-          return std::move(E);
+          return E;
       }
       if (Current.Kind == TokenKind::LBrace) {
         if (Error E = advance())
-          return std::move(E);
+          return E;
         Result<PrototxtMessage> Nested = parseMessage(/*Nested=*/true);
         if (!Nested)
           return Nested;
         assert(Current.Kind == TokenKind::RBrace && "parser invariant");
         if (Error E = advance())
-          return std::move(E);
+          return E;
         Msg.add(FieldName, PrototxtValue::message(Nested.take()));
         continue;
       }
@@ -329,7 +329,7 @@ private:
                               "'");
       Msg.add(FieldName, PrototxtValue::scalar(Current.Text));
       if (Error E = advance())
-        return std::move(E);
+        return E;
     }
   }
 

@@ -601,7 +601,16 @@ void packConvColsB(const float *Image, int Height, int Width,
       OutRow[C] = Col / OutW;
       OutCol[C] = Col % OutW;
     }
-    const bool OneRow = OutRow[0] == OutRow[Panel - 1];
+    // At stride 1 the panel's columns fall into runs that stay on one
+    // output row and so read consecutive pixels: [SegBegin[S],
+    // SegBegin[S + 1]) for S < Segments. A panel spans several rows
+    // whenever OutW < NR (8x8 images: every panel spans two).
+    int SegBegin[NR + 1];
+    int Segments = 0;
+    for (int C = 0; C < Panel; ++C)
+      if (C == 0 || OutRow[C] != OutRow[C - 1])
+        SegBegin[Segments++] = C;
+    SegBegin[Segments] = Panel;
     float *PanelOut =
         Out + static_cast<size_t>(Panel0 / NR) * KBlock * NR;
     for (int KOff = 0; KOff < KBlock; ++KOff) {
@@ -609,27 +618,34 @@ void packConvColsB(const float *Image, int Height, int Width,
       const int KH = KHOf[KOff];
       const float *Plane = PlaneOf[KOff];
       float *Dst = PanelOut + static_cast<size_t>(KOff) * NR;
-      // Fast path: at stride 1 a panel that stays on one output row
-      // reads consecutive pixels; copy the in-bounds middle straight
-      // through (plain loops so the compiler vectorizes them — a
-      // variable-size memcpy here is a library call per K-row) and
-      // zero-fill whatever padding clips at either end.
-      if (G.Stride == 1 && OneRow) {
-        const int IH = OutRow[0] - G.Pad + KH;
-        const int IW0 = OutCol[0] - G.Pad + KW;
-        int From = 0, To = 0;
-        if (IH >= 0 && IH < Height) {
-          From = std::max(0, -IW0);
-          To = std::max(From, std::min(Panel, Width - IW0));
+      if (G.Stride == 1) {
+        // Copy each row segment's in-bounds middle straight through
+        // (plain loops so the compiler vectorizes them — a variable-size
+        // memcpy here is a library call per K-row) and zero-fill
+        // whatever padding clips at either end.
+        for (int S = 0; S < Segments; ++S) {
+          const int Begin = SegBegin[S];
+          const int Len = SegBegin[S + 1] - Begin;
+          float *SegDst = Dst + Begin;
+          const int IH = OutRow[Begin] - G.Pad + KH;
+          const int IW0 = OutCol[Begin] - G.Pad + KW;
+          int From = 0, To = 0;
+          if (IH >= 0 && IH < Height) {
+            From = std::min(Len, std::max(0, -IW0));
+            To = std::max(From, std::min(Len, Width - IW0));
+          }
+          for (int J = 0; J < From; ++J)
+            SegDst[J] = 0.0f;
+          if (To > From) {
+            const float *Src =
+                Plane + static_cast<size_t>(IH) * Width + (IW0 + From);
+            for (int J = From; J < To; ++J)
+              SegDst[J] = Src[J - From];
+          }
+          for (int J = To; J < Len; ++J)
+            SegDst[J] = 0.0f;
         }
-        for (int J = 0; J < From; ++J)
-          Dst[J] = 0.0f;
-        if (To > From) {
-          const float *Src = Plane + static_cast<size_t>(IH) * Width + IW0;
-          for (int J = From; J < To; ++J)
-            Dst[J] = Src[J];
-        }
-        for (int J = To; J < NR; ++J)
+        for (int J = Panel; J < NR; ++J)
           Dst[J] = 0.0f;
         continue;
       }

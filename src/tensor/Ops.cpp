@@ -4,6 +4,7 @@
 
 #include "src/tensor/Kernels.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace wootz;
@@ -125,28 +126,60 @@ void wootz::gemmBias(const float *A, const float *B, const float *Bias,
   }
 }
 
+namespace {
+
+/// The output positions [Lo, Hi) whose tap Pos * Stride + Offset lands
+/// inside [0, Extent), clamped to [0, OutExtent). Outside that range the
+/// tap reads padding.
+void validTaps(int Offset, int Stride, int Extent, int OutExtent, int &Lo,
+               int &Hi) {
+  Lo = Offset >= 0 ? 0 : (Stride - 1 - Offset) / Stride;
+  Hi = Extent - Offset <= 0 ? 0 : (Extent - Offset + Stride - 1) / Stride;
+  Lo = std::min(Lo, OutExtent);
+  Hi = std::max(Lo, std::min(Hi, OutExtent));
+}
+
+} // namespace
+
+// Both transforms walk the (C, KH, KW, OH) rows of the column matrix.
+// A kernel column KW reads the same valid output-column range [Lo, Hi)
+// on every row, so the range is worked out once per KW; inside it the
+// loops copy or add straight through (unit stride vectorizes), outside
+// it they zero-fill or skip. Every element is written or accumulated in
+// per-element loop order, so results are bit-identical to per-element
+// bounds-checked loops (KernelGatherTest keeps them as oracles).
+
 void wootz::im2col(const float *Image, int Channels, int Height, int Width,
                    const ConvGeometry &Geometry, float *Columns) {
   const int OutH = Geometry.outExtent(Height);
   const int OutW = Geometry.outExtent(Width);
   const int Kernel = Geometry.KernelSize;
+  const int Stride = Geometry.Stride;
   float *Out = Columns;
   for (int C = 0; C < Channels; ++C) {
     const float *Plane = Image + static_cast<size_t>(C) * Height * Width;
     for (int KH = 0; KH < Kernel; ++KH) {
       for (int KW = 0; KW < Kernel; ++KW) {
-        for (int OH = 0; OH < OutH; ++OH) {
-          const int IH = OH * Geometry.Stride - Geometry.Pad + KH;
+        const int Offset = KW - Geometry.Pad;
+        int Lo, Hi;
+        validTaps(Offset, Stride, Width, OutW, Lo, Hi);
+        for (int OH = 0; OH < OutH; ++OH, Out += OutW) {
+          const int IH = OH * Stride - Geometry.Pad + KH;
           if (IH < 0 || IH >= Height) {
-            std::memset(Out, 0, sizeof(float) * OutW);
-            Out += OutW;
+            std::fill(Out, Out + OutW, 0.0f);
             continue;
           }
           const float *Row = Plane + static_cast<size_t>(IH) * Width;
-          for (int OW = 0; OW < OutW; ++OW) {
-            const int IW = OW * Geometry.Stride - Geometry.Pad + KW;
-            *Out++ = (IW >= 0 && IW < Width) ? Row[IW] : 0.0f;
+          std::fill(Out, Out + Lo, 0.0f);
+          if (Stride == 1) {
+            const float *Src = Row + (Lo + Offset);
+            for (int J = 0; J < Hi - Lo; ++J)
+              Out[Lo + J] = Src[J];
+          } else {
+            for (int OW = Lo; OW < Hi; ++OW)
+              Out[OW] = Row[OW * Stride + Offset];
           }
+          std::fill(Out + Hi, Out + OutW, 0.0f);
         }
       }
     }
@@ -158,23 +191,27 @@ void wootz::col2im(const float *Columns, int Channels, int Height, int Width,
   const int OutH = Geometry.outExtent(Height);
   const int OutW = Geometry.outExtent(Width);
   const int Kernel = Geometry.KernelSize;
+  const int Stride = Geometry.Stride;
   const float *In = Columns;
   for (int C = 0; C < Channels; ++C) {
     float *Plane = Image + static_cast<size_t>(C) * Height * Width;
     for (int KH = 0; KH < Kernel; ++KH) {
       for (int KW = 0; KW < Kernel; ++KW) {
-        for (int OH = 0; OH < OutH; ++OH) {
-          const int IH = OH * Geometry.Stride - Geometry.Pad + KH;
-          if (IH < 0 || IH >= Height) {
-            In += OutW;
+        const int Offset = KW - Geometry.Pad;
+        int Lo, Hi;
+        validTaps(Offset, Stride, Width, OutW, Lo, Hi);
+        for (int OH = 0; OH < OutH; ++OH, In += OutW) {
+          const int IH = OH * Stride - Geometry.Pad + KH;
+          if (IH < 0 || IH >= Height)
             continue;
-          }
           float *Row = Plane + static_cast<size_t>(IH) * Width;
-          for (int OW = 0; OW < OutW; ++OW) {
-            const int IW = OW * Geometry.Stride - Geometry.Pad + KW;
-            if (IW >= 0 && IW < Width)
-              Row[IW] += *In;
-            ++In;
+          if (Stride == 1) {
+            float *Dst = Row + (Lo + Offset);
+            for (int J = 0; J < Hi - Lo; ++J)
+              Dst[J] += In[Lo + J];
+          } else {
+            for (int OW = Lo; OW < Hi; ++OW)
+              Row[OW * Stride + Offset] += In[OW];
           }
         }
       }

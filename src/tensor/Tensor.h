@@ -58,9 +58,8 @@ public:
 private:
   void validate() const {
     assert(!Dims.empty() && Dims.size() <= 4 && "tensor rank must be 1-4");
-    for (int Dim : Dims)
+    for ([[maybe_unused]] int Dim : Dims)
       assert(Dim > 0 && "tensor extents must be positive");
-    (void)this;
   }
 
   std::vector<int> Dims;

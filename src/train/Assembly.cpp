@@ -42,7 +42,7 @@ Result<AssembledNetwork> wootz::buildPrunedNetwork(
     if (Block.isIdentity())
       continue;
     if (Error E = Store->restore(Block.id(), Out.Network, "net"))
-      return std::move(E);
+      return E;
     Out.BlocksUsed.push_back(Block.id());
   }
   return Out;
