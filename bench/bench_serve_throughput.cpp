@@ -2,14 +2,14 @@
 //
 // Load-tests the wootz::serve daemon end to end over real sockets: one
 // tiny pruning job produces a servable winner, then closed-loop clients
-// hammer POST /v1/models/:id/predict while we sweep the client count,
-// the micro-batcher's MaxBatch cap, and the execution engine (Graph
-// interpreter vs frozen static plan). Rows (req/s, p50/p99 latency per
-// engine) land in BENCH_serve.json for tracking scripts; the expected
-// shape is that
-// an unbatched server's latency grows linearly with concurrency while
-// the batched one amortizes the forward pass once batches fill (paying
-// a bounded companion wait when traffic is too thin to batch).
+// hammer POST /v1/models/:id/predict while we sweep the client count
+// and the micro-batcher's MaxBatch cap. Rows (req/s, p50/p99 latency)
+// land in BENCH_serve.json for tracking scripts; the expected shape is
+// that an unbatched server's latency grows linearly with concurrency
+// while the batched one amortizes the forward pass once batches fill
+// (paying a bounded companion wait when traffic is too thin to batch).
+// A second sweep runs 1, 2 and 4 daemons over one artifact root
+// (BENCH_shard.json).
 //
 //===----------------------------------------------------------------------===//
 
@@ -199,20 +199,16 @@ int main() {
     JsonRows += Row.str();
   };
 
-  Table Out({"engine", "batch cap", "clients", "requests", "req/s",
-             "p50 ms", "p99 ms", "errors"});
+  Table Out({"batch cap", "clients", "requests", "req/s", "p50 ms",
+             "p99 ms", "errors"});
   const int RequestsPerClient = 50;
-  for (const bool UsePlans : {false, true})
   for (int MaxBatch : {1, 8}) {
-    // One server per (engine, batch cap) cell: both the micro-batcher
-    // and the plan freeze happen at construction/registration. State
-    // lives under the shared bench cache dir so a rerun reuses the
-    // trained teacher.
-    const char *Engine = UsePlans ? "plan" : "interpreter";
+    // One server per batch cap: the micro-batcher is configured at
+    // construction. State lives under the shared bench cache dir so a
+    // rerun reuses the trained teacher.
     ServerOptions Options;
     Options.Http.Workers = 8;
     Options.Batching.MaxBatch = MaxBatch;
-    Options.Batching.UsePlans = UsePlans;
     Options.Jobs.CacheDir = wootz::bench::cacheDir() + "/serve_bench";
     WootzServer Server(Options);
     if (Error Started = Server.start()) {
@@ -248,15 +244,14 @@ int main() {
     for (int Clients : {1, 2, 4, 8}) {
       const LoadResult Load =
           runLoad({Port}, PredictRaw, Clients, RequestsPerClient);
-      Out.addRow({Engine, std::to_string(MaxBatch),
-               std::to_string(Clients), std::to_string(Load.Ok),
-               formatDouble(Load.requestsPerSecond(), 1),
-               formatDouble(Load.P50 * 1e3, 3),
-               formatDouble(Load.P99 * 1e3, 3),
-               std::to_string(Load.Errors)});
+      Out.addRow({std::to_string(MaxBatch), std::to_string(Clients),
+                  std::to_string(Load.Ok),
+                  formatDouble(Load.requestsPerSecond(), 1),
+                  formatDouble(Load.P50 * 1e3, 3),
+                  formatDouble(Load.P99 * 1e3, 3),
+                  std::to_string(Load.Errors)});
       JsonObject Row;
       Row.field("path", "predict")
-          .field("engine", Engine)
           .field("max_batch", MaxBatch)
           .field("clients", Clients)
           .field("requests", Load.Ok)

@@ -3,7 +3,6 @@
 #include "src/nn/Layers.h"
 
 #include "src/tensor/Kernels.h"
-#include "src/tensor/PackedWeights.h"
 
 #include <algorithm>
 #include <cmath>
@@ -66,19 +65,19 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   const float *BiasPtr = HasBias ? Bias.Value.data() : nullptr;
 
   // Inference packs GEMM panels straight from the input image — no
-  // materialized im2col matrix at all — reusing the weight panels the
-  // process-wide cache packed on first sight of this weight tensor.
-  // Any batch im2col buffer a previous training pass left behind is
-  // released so evaluation holds no column memory.
+  // materialized im2col matrix at all. The weight panels are packed once
+  // per call and shared by every sample of the batch (a null pre-pack
+  // would repack them per sample). Any batch im2col buffer a previous
+  // training pass left behind is released so evaluation holds no column
+  // memory.
   if (!Training) {
     if (!Scratch.Buffers.empty() && !Scratch.Buffers[0].empty())
       Scratch.Buffers[0] = Tensor();
-    const std::shared_ptr<const PackedPanels> Packed =
-        PackedWeightsCache::instance().convWeights(
-            WeightPtr, Geometry.OutChannels, ColRows);
-    convForwardFused(In.data(), Batch, Height, Width, Geometry,
-                     Packed.get(), WeightPtr, BiasPtr,
-                     /*FuseReLU=*/false, Out.data());
+    const PackedPanels Packed = packGemmA(
+        WeightPtr, static_cast<size_t>(ColRows), 1, Geometry.OutChannels,
+        ColRows);
+    convForwardFused(In.data(), Batch, Height, Width, Geometry, &Packed,
+                     WeightPtr, BiasPtr, /*FuseReLU=*/false, Out.data());
     return;
   }
 
@@ -731,25 +730,11 @@ Shape Dense::outputShape(const std::vector<Shape> &InputShapes) const {
 void Dense::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                     LayerScratch &Scratch, bool Training) const {
   (void)Scratch;
+  (void)Training;
   const Tensor &In = *Inputs[0];
   const int Batch = In.shape()[0];
-  // Eval reuses cached pre-packed B panels of W^T on the blocked path:
-  // same engine, same panels, bit-identical to packing per call — but
-  // the pack happens once per process instead of once per request.
-  // Training weights mutate every step, so the cache would repack per
-  // call there; skip it.
-  if (!Training && gemmUsesBlockedEngine(Batch, InFeatures, OutFeatures)) {
-    const std::shared_ptr<const PackedPanels> Packed =
-        PackedWeightsCache::instance().denseWeights(
-            Weight.Value.data(), OutFeatures, InFeatures);
-    detail::blockedGemmPacked(
-        nullptr, In.data(), static_cast<size_t>(InFeatures), 1,
-        Packed.get(), nullptr, 0, 0, Out.data(), Batch, InFeatures,
-        OutFeatures, /*Accumulate=*/false, /*RowBias=*/nullptr);
-  } else {
-    gemmTransposeB(In.data(), Weight.Value.data(), Out.data(), Batch,
-                   InFeatures, OutFeatures);
-  }
+  gemmTransposeB(In.data(), Weight.Value.data(), Out.data(), Batch,
+                 InFeatures, OutFeatures);
   for (int N = 0; N < Batch; ++N)
     axpy(1.0f, Bias.Value.data(),
          Out.data() + static_cast<size_t>(N) * OutFeatures, OutFeatures);

@@ -55,8 +55,8 @@
 namespace wootz {
 
 /// Freeze-time specialization knobs. The defaults give the fastest
-/// plans; the switches exist for A/B measurement (bench_plan) and for
-/// golden tests that pin each transformation down in isolation.
+/// plans; the switches exist for A/B measurement and for golden tests
+/// that pin each transformation down in isolation.
 struct PlanOptions {
   /// Fold eval-mode BatchNorm into the preceding convolution when it is
   /// that convolution's only consumer; standalone BatchNorm becomes a

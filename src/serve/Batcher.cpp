@@ -2,10 +2,6 @@
 
 #include "src/serve/Batcher.h"
 
-#include "src/nn/Layers.h"
-#include "src/tensor/Ops.h"
-#include "src/tensor/PackedWeights.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -13,13 +9,12 @@
 using namespace wootz;
 using namespace wootz::serve;
 
-Batcher::Batcher(std::shared_ptr<AssembledNetwork> Network,
+Batcher::Batcher(std::shared_ptr<const ExecPlan> Plan,
                  BatcherOptions Options, RunLog *Log,
-                 LatencyHistogram *Latency,
-                 std::shared_ptr<const ExecPlan> Plan, ContextPool *Pool)
-    : Network(std::move(Network)), Plan(std::move(Plan)), Options(Options),
-      Log(Log), Latency(Latency), Pool(Pool) {
-  assert(this->Network && "batcher needs a network");
+                 LatencyHistogram *Latency, ContextPool *Pool)
+    : Plan(std::move(Plan)), Options(Options), Log(Log), Latency(Latency),
+      Pool(Pool) {
+  assert(this->Plan && "batcher needs a plan");
   if (!this->Pool) {
     OwnedPool = std::make_unique<ContextPool>(Options.Pool);
     this->Pool = OwnedPool.get();
@@ -67,13 +62,10 @@ Result<Prediction> Batcher::predict(const Tensor &Sample) {
 }
 
 void Batcher::loop() {
-  // Each batch forwards through an execution context borrowed from the
-  // pool over the shared model: the Graph's parameters are read-only
-  // during serving, so workers run concurrent forwards without copying a
-  // single weight. A model frozen into a static plan borrows a
-  // PlanContext over the shared immutable ExecPlan instead. Contexts go
-  // back to the pool after each batch, so idle models release their
-  // buffers.
+  // Each batch runs through a PlanContext borrowed from the pool over
+  // the shared immutable plan, so workers run concurrent batches without
+  // copying a single weight. Contexts go back to the pool after each
+  // batch, so idle models release their arenas.
   std::unique_lock<std::mutex> Lock(Mutex);
   for (;;) {
     WorkReady.wait(Lock, [&] { return Stopping || !Queue.empty(); });
@@ -111,11 +103,8 @@ void Batcher::loop() {
     }
     Lock.unlock();
     {
-      ContextPool::Lease Lease = Pool->acquire(Network, Plan.get());
-      if (Plan)
-        runBatch(Lease.plan(), Batch);
-      else
-        runBatch(Lease.exec(), Batch);
+      ContextPool::Lease Lease = Pool->acquire(*Plan);
+      runBatch(Lease.context(), Batch);
     }
     Lock.lock();
     for (Pending *P : Batch)
@@ -126,28 +115,41 @@ void Batcher::loop() {
   }
 }
 
-Tensor Batcher::assembleBatch(const std::vector<Pending *> &Batch) {
-  const Shape &One = Batch.front()->Sample->shape();
-  Tensor Input(
-      Shape{static_cast<int>(Batch.size()), One[1], One[2], One[3]});
-  const size_t SampleSize = Batch.front()->Sample->size();
-  for (size_t I = 0; I < Batch.size(); ++I)
-    std::memcpy(Input.data() + I * SampleSize, Batch[I]->Sample->data(),
+void Batcher::runBatch(PlanContext &Ctx, std::vector<Pending *> &Batch) {
+  // The plan was compiled against the model's registered input extents,
+  // so the only surprise a request can spring is a mismatched sample
+  // shape; that request fails cleanly and the rest of the batch runs.
+  std::vector<Pending *> Runnable;
+  for (Pending *P : Batch) {
+    const Shape &S = P->Sample->shape();
+    if (S[1] == Plan->inputChannels() && S[2] == Plan->inputHeight() &&
+        S[3] == Plan->inputWidth())
+      Runnable.push_back(P);
+    else
+      P->Error = "sample shape " + S.str() +
+                 " does not match the compiled plan's input extents";
+  }
+  if (Runnable.empty())
+    return;
+  const int Count = static_cast<int>(Runnable.size());
+  const size_t SampleSize = Runnable.front()->Sample->size();
+  Tensor Input(Shape{Count, Plan->inputChannels(), Plan->inputHeight(),
+                     Plan->inputWidth()});
+  for (int I = 0; I < Count; ++I)
+    std::memcpy(Input.data() + static_cast<size_t>(I) * SampleSize,
+                Runnable[static_cast<size_t>(I)]->Sample->data(),
                 SampleSize * sizeof(float));
-  return Input;
-}
 
-void Batcher::fanOut(const Tensor &Logits, std::vector<Pending *> &Batch) {
-  const int Count = static_cast<int>(Batch.size());
+  const Tensor &Logits = Ctx.run(Input);
   if (Logits.shape().rank() != 2 || Logits.shape()[0] != Count) {
-    for (Pending *P : Batch)
+    for (Pending *P : Runnable)
       P->Error = "model produced logits of unexpected shape " +
                  Logits.shape().str();
     return;
   }
   const int Classes = Logits.shape()[1];
   for (int I = 0; I < Count; ++I) {
-    Pending &P = *Batch[static_cast<size_t>(I)];
+    Pending &P = *Runnable[static_cast<size_t>(I)];
     P.Logits = Tensor(Shape{Classes});
     std::memcpy(P.Logits.data(),
                 Logits.data() + static_cast<size_t>(I) * Classes,
@@ -160,42 +162,6 @@ void Batcher::fanOut(const Tensor &Logits, std::vector<Pending *> &Batch) {
     if (Count > 1)
       Log->bump("serve.predict.coalesced", Count - 1);
   }
-}
-
-void Batcher::runBatch(ExecContext &Ctx, std::vector<Pending *> &Batch) {
-  Tensor Input = assembleBatch(Batch);
-
-  const Graph &Net = Network->Network;
-  Ctx.setInput(Network->InputNode, std::move(Input));
-  Ctx.forward(Net, /*Training=*/false);
-  // User-named logits node: resolve through the checked accessor so a
-  // bad name surfaces as a clean per-request error, never an abort.
-  Result<const Tensor *> Found = Ctx.findActivation(Network->LogitsNode);
-  if (!Found) {
-    for (Pending *P : Batch)
-      P->Error = Found.message();
-    return;
-  }
-  fanOut(**Found, Batch);
-}
-
-void Batcher::runBatch(PlanContext &Ctx, std::vector<Pending *> &Batch) {
-  const Tensor Input = assembleBatch(Batch);
-  // The plan was compiled against the model's registered input extents,
-  // so the only surprise a request can spring is a mismatched sample
-  // shape; fail the batch cleanly rather than tripping the assertion.
-  const Shape &S = Input.shape();
-  const ExecPlan &P = *Ctx.plan();
-  if (S[1] != P.inputChannels() || S[2] != P.inputHeight() ||
-      S[3] != P.inputWidth()) {
-    for (Pending *Req : Batch)
-      Req->Error = "sample shape " + S.str() +
-                   " does not match the compiled plan's input extents";
-    return;
-  }
-  fanOut(Ctx.run(Input), Batch);
-  if (Log)
-    Log->bump("serve.predict.plan_batches");
 }
 
 void Batcher::stop() {
@@ -232,62 +198,37 @@ Error ModelRegistry::add(const std::string &Id,
                          std::string Origin) {
   if (!Network)
     return Error::failure("cannot register a null network");
+  // Freeze the model once, at registration: every batcher worker then
+  // executes the shared immutable plan through a private PlanContext.
+  // The plan lowers every layer kind nn/Layers.h defines, so a compile
+  // failure means a malformed network, and the registration fails.
+  Result<ExecPlan> Compiled = ExecPlan::compile(
+      Network->Network, Network->InputNode, Network->LogitsNode, Channels,
+      Height, Width);
+  if (!Compiled)
+    return Error::failure("freezing model '" + Id +
+                          "': " + Compiled.message());
+  if (Log)
+    Log->bump("serve.models.plans_compiled");
+  return add(Id, std::make_shared<const ExecPlan>(Compiled.take()),
+             Classes, std::move(Origin));
+}
+
+Error ModelRegistry::add(const std::string &Id,
+                         std::shared_ptr<const ExecPlan> Plan, int Classes,
+                         std::string Origin) {
+  if (!Plan)
+    return Error::failure("cannot register a null plan");
   auto Model = std::make_unique<ServableModel>();
   Model->Id = Id;
-  Model->Channels = Channels;
-  Model->Height = Height;
-  Model->Width = Width;
+  Model->Channels = Plan->inputChannels();
+  Model->Height = Plan->inputHeight();
+  Model->Width = Plan->inputWidth();
   Model->Classes = Classes;
   Model->Origin = std::move(Origin);
-  if (Batching.UsePlans) {
-    // Freeze the model once, at registration: every batcher worker then
-    // executes the shared immutable plan through a private PlanContext.
-    // A graph the plan compiler cannot lower (exotic layer kinds) is not
-    // an error — it just serves through the interpreter.
-    Result<ExecPlan> Compiled = ExecPlan::compile(
-        Network->Network, Network->InputNode, Network->LogitsNode,
-        Channels, Height, Width);
-    if (Compiled)
-      Model->Plan = std::make_shared<const ExecPlan>(Compiled.take());
-    else if (Log)
-      Log->bump("serve.models.plan_fallback");
-    if (Model->Plan && Log)
-      Log->bump("serve.models.plans_compiled");
-  }
-  if (!Model->Plan) {
-    // Interpreter-served models warm the process-wide weight-panel
-    // cache at registration, so the first predict request does not pay
-    // for packing: every conv and dense weight is packed exactly once
-    // per process here and shared read-only by all batcher workers.
-    // (Plan-served models carry their own panels, packed at freeze.)
-    PackedWeightsCache &Cache = PackedWeightsCache::instance();
-    size_t Warmed = 0;
-    for (const std::string &Name : Network->Network.nodeNames()) {
-      const Layer *L = Network->Network.findLayer(Name);
-      if (!L)
-        continue;
-      if (L->kind() == "conv") {
-        const auto &Conv = static_cast<const Conv2D &>(*L);
-        const ConvGeometry &G = Conv.geometry();
-        Cache.convWeights(Conv.weight().Value.data(), G.OutChannels,
-                          G.InChannels * G.KernelSize * G.KernelSize);
-        ++Warmed;
-      } else if (L->kind() == "dense") {
-        const auto &Fc = static_cast<const Dense &>(*L);
-        if (gemmUsesBlockedEngine(Batching.MaxBatch, Fc.inFeatures(),
-                                  Fc.outFeatures())) {
-          Cache.denseWeights(Fc.weight().Value.data(), Fc.outFeatures(),
-                             Fc.inFeatures());
-          ++Warmed;
-        }
-      }
-    }
-    if (Log && Warmed > 0)
-      Log->bump("serve.models.weights_packed",
-                static_cast<int64_t>(Warmed));
-  }
-  Model->Engine = std::make_unique<Batcher>(
-      std::move(Network), Batching, Log, Latency, Model->Plan, &Contexts);
+  Model->Plan = std::move(Plan);
+  Model->Engine = std::make_unique<Batcher>(Model->Plan, Batching, Log,
+                                            Latency, &Contexts);
   std::lock_guard<std::mutex> Lock(Mutex);
   auto [It, Inserted] = Models.emplace(Id, std::move(Model));
   (void)It;

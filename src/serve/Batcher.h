@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The inference path of the serve daemon. Each servable model owns one
-/// Batcher: a small pool of worker threads that share the model's Graph
-/// read-only, each batch forwarding through an ExecContext borrowed from
-/// a ContextPool, so one hot model scales across workers instead of
+/// The inference path of the serve daemon. Every servable model is
+/// frozen into a static ExecPlan (plan/Plan.h) when it is registered and
+/// owns one Batcher: a small pool of worker threads that share the
+/// immutable plan, each batch running through a PlanContext borrowed
+/// from a ContextPool, so one hot model scales across workers instead of
 /// being pinned to a single thread. Workers coalesce concurrent predict
 /// requests into one NCHW batch, which is what lets HTTP traffic
-/// exercise the batch-parallel Conv2D kernels: when the first sample
-/// arrives a worker waits up to MaxWaitMicros for companions (bounded
-/// wait), cuts the batch at MaxBatch, runs a single eval-mode forward,
-/// and fans the logit rows back out to the waiting request threads.
+/// exercise the batch-parallel convolution kernels: when the first
+/// sample arrives a worker waits up to MaxWaitMicros for companions
+/// (bounded wait), cuts the batch at MaxBatch, runs the plan once, and
+/// fans the logit rows back out to the waiting request threads.
 ///
 /// Callers block in predict() on a condition variable; a bounded pending
 /// queue turns overload into an immediate "overloaded" error (the
@@ -52,15 +53,10 @@ struct BatcherOptions {
   int MaxWaitMicros = 2000;
   /// Pending-request cap; beyond it predict() fails fast ("overloaded").
   size_t MaxQueuedRequests = 64;
-  /// Worker threads per model. Each batch forwards the shared Graph
-  /// through an ExecContext borrowed from a ContextPool, so concurrent
-  /// batches overlap on one model.
+  /// Worker threads per model. Each batch runs the shared plan through
+  /// a PlanContext borrowed from a ContextPool, so concurrent batches
+  /// overlap on one model.
   int Workers = 2;
-  /// Freeze each registered model into a static ExecPlan at add() time
-  /// and serve through PlanContexts instead of the Graph interpreter.
-  /// Models whose graphs fail to compile fall back to the interpreter
-  /// (the registry bumps `serve.models.plan_fallback`).
-  bool UsePlans = false;
   /// Trim policy of the ContextPool that lends every batch its context.
   ContextPoolOptions Pool;
 };
@@ -76,17 +72,13 @@ struct Prediction {
 /// One model's batching inference engine.
 class Batcher {
 public:
-  /// Takes shared ownership of \p Network; \p Log (optional) receives
-  /// `serve.predict.*` counters, \p Latency (optional) per-request
-  /// forward latencies. When \p Plan is non-null every batch executes
-  /// it through a pooled PlanContext instead of interpreting the Graph;
-  /// the network is still kept alive for provenance.
-  /// \p Pool (optional, e.g. the registry's) lends each batch its
-  /// execution context; without it the batcher owns a pool built from
-  /// Options.Pool.
-  Batcher(std::shared_ptr<AssembledNetwork> Network, BatcherOptions Options,
+  /// Takes shared ownership of the frozen \p Plan; \p Log (optional)
+  /// receives `serve.predict.*` counters, \p Latency (optional)
+  /// per-request forward latencies. \p Pool (optional, e.g. the
+  /// registry's) lends each batch its execution context; without it the
+  /// batcher owns a pool built from Options.Pool.
+  Batcher(std::shared_ptr<const ExecPlan> Plan, BatcherOptions Options,
           RunLog *Log, LatencyHistogram *Latency,
-          std::shared_ptr<const ExecPlan> Plan = nullptr,
           ContextPool *Pool = nullptr);
   ~Batcher();
 
@@ -112,20 +104,16 @@ private:
   };
 
   void loop();
-  void runBatch(ExecContext &Ctx, std::vector<Pending *> &Batch);
+  /// Runs the requests of \p Batch through \p Ctx as one NCHW batch and
+  /// writes each request's logits row (or its error) back.
   void runBatch(PlanContext &Ctx, std::vector<Pending *> &Batch);
-  /// Assembles one NCHW input tensor from the batch's [1,C,H,W] samples.
-  static Tensor assembleBatch(const std::vector<Pending *> &Batch);
-  /// Shape-checks \p Logits and copies each row back to its request.
-  void fanOut(const Tensor &Logits, std::vector<Pending *> &Batch);
 
-  std::shared_ptr<AssembledNetwork> Network;
   std::shared_ptr<const ExecPlan> Plan;
   BatcherOptions Options;
   RunLog *Log = nullptr;
   LatencyHistogram *Latency = nullptr;
-  /// Set when no pool was passed in. Declared after Network so it is
-  /// destroyed (after stop() joined the workers) before the network.
+  /// Set when no pool was passed in. Declared after Plan so it is
+  /// destroyed (after stop() joined the workers) before the plan.
   std::unique_ptr<ContextPool> OwnedPool;
   ContextPool *Pool = nullptr;
 
@@ -137,7 +125,8 @@ private:
   std::vector<std::thread> Workers;
 };
 
-/// A registered model: its network, expected input shape, and batcher.
+/// A registered model: its frozen plan, expected input shape, and
+/// batcher.
 struct ServableModel {
   std::string Id;
   int Channels = 0;
@@ -147,8 +136,8 @@ struct ServableModel {
   /// Provenance note surfaced in the model listing ("job job-3 winner",
   /// "preloaded full model", ...).
   std::string Origin;
-  /// The frozen static plan when BatcherOptions::UsePlans compiled one;
-  /// null means the batcher interprets the Graph.
+  /// The frozen static plan every prediction runs. It owns copies of
+  /// the weights, so the source network is not kept.
   std::shared_ptr<const ExecPlan> Plan;
   std::unique_ptr<Batcher> Engine;
 };
@@ -166,17 +155,23 @@ public:
 
   /// Engines stop (joining the worker threads that use the context
   /// pool) before the pool's contexts are torn down, which in turn
-  /// happens while the model graphs are still alive.
+  /// happens while the model plans are still alive.
   ~ModelRegistry() {
     stopAll();
     Contexts.clear();
   }
 
-  /// Registers \p Network under \p Id with the given input geometry.
-  /// Fails if the id is taken.
+  /// Freezes \p Network into a plan for the given input geometry and
+  /// registers it under \p Id. The network itself is not kept. Fails if
+  /// the plan does not compile or the id is taken.
   Error add(const std::string &Id,
             std::shared_ptr<AssembledNetwork> Network, int Channels,
             int Height, int Width, int Classes, std::string Origin);
+
+  /// Registers an already frozen \p Plan under \p Id; its input
+  /// extents are the model's. Fails if the id is taken.
+  Error add(const std::string &Id, std::shared_ptr<const ExecPlan> Plan,
+            int Classes, std::string Origin);
 
   /// Unregisters \p Id: its engine stops (queued predicts fail with
   /// "model is draining") and the id becomes free again. The

@@ -7,13 +7,11 @@
 using namespace wootz;
 using namespace wootz::serve;
 
-ContextPool::Lease
-ContextPool::acquire(const std::shared_ptr<AssembledNetwork> &Model,
-                     const ExecPlan *Plan) {
+ContextPool::Lease ContextPool::acquire(const ExecPlan &Plan) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     for (size_t I = 0; I < Idle.size(); ++I) {
-      if (Idle[I]->Key != Model.get())
+      if (Idle[I]->Context.plan() != &Plan)
         continue;
       std::unique_ptr<Entry> E = std::move(Idle[I]);
       Idle.erase(Idle.begin() + static_cast<long>(I));
@@ -22,15 +20,7 @@ ContextPool::acquire(const std::shared_ptr<AssembledNetwork> &Model,
     }
   }
   auto E = std::make_unique<Entry>();
-  E->Key = Model.get();
-  // Plan-served models never touch the graph interpreter path, so the
-  // exec context stays unbound (no activation slots allocated) and only
-  // the cheap plan binding happens; interpreter-served models vice
-  // versa.
-  if (Plan)
-    E->Plan.bind(*Plan);
-  else
-    E->Exec.bind(Model->Network);
+  E->Context.bind(Plan);
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Created;

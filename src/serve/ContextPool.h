@@ -5,16 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A shared pool of execution contexts for the serving path. Batcher
-/// workers acquire a context (an ExecContext, or a PlanContext for frozen
-/// models) for the duration of one batch and release it back, so buffers
-/// are shared across workers of one model, and contexts idle past a trim
+/// A shared pool of plan execution contexts for the serving path.
+/// Batcher workers acquire a PlanContext over their model's frozen plan
+/// for the duration of one batch and release it back, so arenas are
+/// shared across workers of one model, and contexts idle past a trim
 /// threshold are destroyed on the next release. A model that has not
-/// seen a request in minutes holds no activation buffers.
+/// seen a request in minutes holds no activation arena.
 ///
-/// Contexts hold only scratch state (activation tensors, arena
-/// buffers); model outputs are a pure function of weights and input, so
-/// pooling cannot change a single logit.
+/// Contexts hold only scratch state (the activation arena); model
+/// outputs are a pure function of the plan and the input, so pooling
+/// cannot change a single logit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 
 #include "src/plan/Plan.h"
 #include "src/runtime/RunLog.h"
-#include "src/train/Assembly.h"
 
 #include <cstdint>
 #include <map>
@@ -47,15 +46,13 @@ struct ContextPoolOptions {
 /// The registry-wide pool. Thread-safe.
 class ContextPool {
   struct Entry {
-    const AssembledNetwork *Key = nullptr;
-    ExecContext Exec;
-    PlanContext Plan;
+    PlanContext Context; ///< Bound to the plan it was created for.
     double ReleasedAt = 0.0;
   };
 
 public:
-  /// RAII handle over one acquired context pair; returns it to the
-  /// pool on destruction.
+  /// RAII handle over one acquired context; returns it to the pool on
+  /// destruction.
   class Lease {
   public:
     Lease() = default;
@@ -74,8 +71,7 @@ public:
     }
     ~Lease() { reset(); }
 
-    ExecContext &exec() { return E->Exec; }
-    PlanContext &plan() { return E->Plan; }
+    PlanContext &context() { return E->Context; }
 
   private:
     void reset() {
@@ -93,14 +89,12 @@ public:
   ContextPool(const ContextPool &) = delete;
   ContextPool &operator=(const ContextPool &) = delete;
 
-  /// A context pair for \p Model: a parked one when available (buffers
-  /// stay warm), freshly bound otherwise. \p Plan non-null additionally
-  /// binds the plan context (frozen models).
-  Lease acquire(const std::shared_ptr<AssembledNetwork> &Model,
-                const ExecPlan *Plan);
+  /// A context over \p Plan: a parked one when available (its arena
+  /// stays warm), freshly bound otherwise.
+  Lease acquire(const ExecPlan &Plan);
 
   /// Destroys every parked context (registry teardown, before the
-  /// model graphs go away).
+  /// plans go away).
   void clear();
 
   /// serve.contexts.* counters: pooled (currently parked), created,

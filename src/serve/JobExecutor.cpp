@@ -408,32 +408,35 @@ void JobExecutor::runJob(JobRecord &R, const JobSpec &S, ExecState &X) {
         Outcome.Evaluations[static_cast<size_t>(R.WinnerIndex)];
     R.WinnerSizeFraction = Winner.SizeFraction;
     R.WinnerAccuracy = Winner.FinalAccuracy;
-    // Freeze the winner into a static inference plan and persist the
-    // compiler's decisions (step list, fusions, arena layout) next to
-    // result.json. Best-effort like every other artifact; a graph the
-    // plan compiler cannot lower simply skips the file.
-    if (!Options.ArtifactDir.empty() && Winner.Network) {
+    // Freeze the winner into a static inference plan once: the same
+    // plan is persisted as plan.json next to result.json (the
+    // compiler's decisions: step list, fusions, arena layout) and
+    // served by the registry. The artifact is best-effort like every
+    // other; a winner that does not freeze is not served.
+    if ((Registry || !Options.ArtifactDir.empty()) && Winner.Network) {
       Result<ExecPlan> Frozen = ExecPlan::compile(
           Winner.Network->Network, Winner.Network->InputNode,
           Winner.Network->LogitsNode, S.Spec.InputChannels,
           S.Spec.InputHeight, S.Spec.InputWidth);
       if (Frozen) {
-        Error PlanError = writeFileAtomic(
-            Options.ArtifactDir + "/" + R.Id + "/plan.json",
-            Frozen->describeJson() + "\n");
-        (void)static_cast<bool>(PlanError);
-        X.Log.bump("serve.jobs.plan_frozen");
+        auto Plan = std::make_shared<const ExecPlan>(Frozen.take());
+        if (!Options.ArtifactDir.empty()) {
+          Error PlanError = writeFileAtomic(
+              Options.ArtifactDir + "/" + R.Id + "/plan.json",
+              Plan->describeJson() + "\n");
+          (void)static_cast<bool>(PlanError);
+          X.Log.bump("serve.jobs.plan_frozen");
+        }
+        if (Registry) {
+          Error AddError = Registry->add(
+              R.Id, std::move(Plan), S.Spec.Layers.back().NumOutput,
+              "job " + R.Id + " winner (size " +
+                  formatDouble(100.0 * Winner.SizeFraction, 1) + "%, acc " +
+                  formatDouble(Winner.FinalAccuracy, 3) + ")");
+          if (!AddError)
+            R.ModelId = R.Id;
+        }
       }
-    }
-    if (Registry && Winner.Network) {
-      Error AddError = Registry->add(
-          R.Id, Winner.Network, S.Spec.InputChannels, S.Spec.InputHeight,
-          S.Spec.InputWidth, S.Spec.Layers.back().NumOutput,
-          "job " + R.Id + " winner (size " +
-              formatDouble(100.0 * Winner.SizeFraction, 1) + "%, acc " +
-              formatDouble(Winner.FinalAccuracy, 3) + ")");
-      if (!AddError)
-        R.ModelId = R.Id;
     }
     finishJob(R, X, JobState::Done,
               "winner at exploration position " +

@@ -254,7 +254,7 @@ size_t ModelStore::loadFromDisk(const ArtifactStore *Placement) {
   size_t Restored = 0;
   for (const std::string &Id : Ids) {
     // Placement-aware startup: in a shared store each daemon eagerly
-    // restores (and compiles/warms) only the models rendezvous hashing
+    // restores (and freezes) only the models rendezvous hashing
     // assigns to it; everything else loads lazily on first use. Any
     // single daemon — or one whose peers all died — still owns every
     // key, so nothing is ever unreachable.

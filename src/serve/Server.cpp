@@ -4,7 +4,6 @@
 
 #include "src/support/Json.h"
 #include "src/support/StringUtils.h"
-#include "src/tensor/PackedWeights.h"
 
 #include <cctype>
 #include <chrono>
@@ -151,9 +150,7 @@ void WootzServer::buildRoutes() {
                      .field("height", Model->Height)
                      .field("width", Model->Width)
                      .field("classes", Model->Classes)
-                     .field("origin", Model->Origin)
-                     .field("engine",
-                            Model->Plan ? "plan" : "interpreter");
+                     .field("origin", Model->Origin);
                  if (!Items.empty())
                    Items += ",";
                  Items += Item.str();
@@ -378,29 +375,6 @@ std::string WootzServer::metricsText() const {
   Out += prometheusSample("wootz_models", "",
                           static_cast<double>(Registry.count()), "gauge",
                           GaugeType);
-  // Weight-panel cache: resident footprint plus lookup traffic, so an
-  // operator can tell from /metrics whether serving models are hitting
-  // pre-packed panels (hits climbing, repacks flat) or churning.
-  const PackedWeightsCache::Stats Panels =
-      PackedWeightsCache::instance().stats();
-  GaugeType = false;
-  Out += prometheusSample("wootz_packed_weights_entries", "",
-                          static_cast<double>(Panels.Entries), "gauge",
-                          GaugeType);
-  GaugeType = false;
-  Out += prometheusSample("wootz_packed_weights_bytes", "",
-                          static_cast<double>(Panels.Bytes), "gauge",
-                          GaugeType);
-  GaugeType = false;
-  for (const auto &[Event, Count] :
-       {std::pair<const char *, uint64_t>{"hit", Panels.Hits},
-        std::pair<const char *, uint64_t>{"miss", Panels.Misses},
-        std::pair<const char *, uint64_t>{"repack", Panels.Repacks},
-        std::pair<const char *, uint64_t>{"eviction", Panels.Evictions}})
-    Out += prometheusSample("wootz_packed_weights_lookups",
-                            "event=\"" + std::string(Event) + "\"",
-                            static_cast<double>(Count), "gauge",
-                            GaugeType);
   GaugeType = false;
   for (const auto &[State, Count] : Jobs.stateCounts())
     Out += prometheusSample("wootz_jobs_state",

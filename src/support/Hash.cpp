@@ -3,7 +3,6 @@
 #include "src/support/Hash.h"
 
 #include <array>
-#include <cstring>
 
 using namespace wootz;
 
@@ -42,32 +41,6 @@ Fnv1a &Fnv1a::mixBytes(const void *Data, size_t Size) {
 
 uint64_t wootz::fnv1a(std::string_view Text) {
   return Fnv1a().mix(Text).digest();
-}
-
-uint64_t wootz::hashBytes64(const void *Data, size_t Size) {
-  constexpr uint64_t Mul = 0x9e3779b97f4a7c15ull;
-  const unsigned char *Bytes = static_cast<const unsigned char *>(Data);
-  // Seeding with the length separates buffers that differ only by a
-  // zero-padded tail.
-  uint64_t State = 0x84222325cbf29ce4ull ^ (Size * Mul);
-  size_t Remaining = Size;
-  while (Remaining >= 8) {
-    uint64_t Word;
-    std::memcpy(&Word, Bytes, 8);
-    State = (State ^ Word) * Mul;
-    State ^= State >> 29;
-    Bytes += 8;
-    Remaining -= 8;
-  }
-  if (Remaining > 0) {
-    uint64_t Word = 0;
-    std::memcpy(&Word, Bytes, Remaining);
-    State = (State ^ Word) * Mul;
-    State ^= State >> 29;
-  }
-  State *= Mul;
-  State ^= State >> 32;
-  return State;
 }
 
 std::string wootz::toHex(uint64_t Value, int Digits) {

@@ -65,14 +65,6 @@ private:
 /// FNV-1a 64 of \p Text in one call.
 uint64_t fnv1a(std::string_view Text);
 
-/// Fast 64-bit content fingerprint of \p Size bytes: a word-at-a-time
-/// multiply-xor mix, roughly 8x the throughput of the byte-wise FNV-1a
-/// above, which is what makes it usable for per-call validation of
-/// multi-megabyte weight tensors (PackedWeightsCache). Deterministic
-/// across runs and across processes on same-endian platforms. Not
-/// cryptographic.
-uint64_t hashBytes64(const void *Data, size_t Size);
-
 /// Lower-case hex rendering of the low \p Digits nibbles of \p Value
 /// (most significant first). Digits must be in [1, 16].
 std::string toHex(uint64_t Value, int Digits = 16);

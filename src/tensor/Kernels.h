@@ -207,10 +207,10 @@ struct KernelScratch {
 
 /// A whole GEMM operand pre-packed into the blocked engine's panel
 /// layout. Packing normally happens per call into per-thread scratch;
-/// a model that is frozen once and run many times (wootz::plan, and the
-/// serve path through PackedWeightsCache) instead packs each weight
-/// matrix once and hands the panels to every subsequent product, which
-/// removes the per-request packing traffic entirely. The layout mirrors
+/// a model that is frozen once and run many times (wootz::plan, which
+/// serves every registered model) instead packs each weight matrix once
+/// and hands the panels to every subsequent product, which removes the
+/// per-request packing traffic entirely. The layout mirrors
 /// the engine's block iteration order exactly, so a packed product
 /// performs the same floating-point operations in the same order as a
 /// scratch-packed one and the results are bit-identical.
@@ -249,7 +249,7 @@ PackedPanels packGemmB(const float *B, size_t RowStride, size_t ColStride,
 /// im2col matrix.
 ///
 /// \p WeightsPre, when non-null, supplies the weight matrix pre-packed
-/// by packGemmA (PackedWeightsCache / plan freeze); otherwise panels are
+/// by packGemmA (eval Conv2D per call, plan freeze); otherwise panels are
 /// packed per task from \p Weights (row-major OutChannels x ColRows,
 /// i.e. OIHW flattened). \p FuseReLU clamps each task's output region
 /// to [0, inf) as an epilogue.

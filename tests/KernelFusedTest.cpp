@@ -1,15 +1,11 @@
-//===- tests/KernelFusedTest.cpp - Fused conv + packed weights tests -------===//
+//===- tests/KernelFusedTest.cpp - Fused convolution tests ----------------===//
 //
-// Pins the two contracts ISSUE 7 introduced on the kernel layer:
-//
-//  * convForwardFused() is bit-identical to a blocked GEMM over a
-//    materialized im2col matrix, for every split kind and every worker
-//    count — the fused path changes where B panels come from, never
-//    which floats are summed in which order.
-//
-//  * PackedWeightsCache re-validates its content fingerprint on every
-//    lookup, so stale panels are never used after a weight mutation,
-//    while unchanged weights always hit the cache.
+// Pins the fused convolution's contract on the kernel layer:
+// convForwardFused() is bit-identical to a blocked GEMM over a
+// materialized im2col matrix, for every split kind and every worker
+// count, with or without pre-packed weight panels — the fused path
+// changes where panels come from, never which floats are summed in
+// which order.
 //
 // Plus the WOOTZ_KERNEL_WORKERS parser's rejection of garbage values.
 //
@@ -21,7 +17,6 @@
 #include "src/nn/Graph.h"
 #include "src/nn/Layers.h"
 #include "src/tensor/Ops.h"
-#include "src/tensor/PackedWeights.h"
 
 #include <gtest/gtest.h>
 
@@ -242,93 +237,6 @@ TEST(KernelFusedTest, MiniModelEvalForwardIsBitIdenticalAcrossWorkers) {
     }
     setKernelWorkers(1);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// PackedWeightsCache
-//===----------------------------------------------------------------------===//
-
-TEST(PackedWeightsTest, SecondLookupHitsWithoutRepacking) {
-  PackedWeightsCache &Cache = PackedWeightsCache::instance();
-  Cache.clear();
-  const auto Weights = fillDeterministic(16 * 27, 0.25f);
-
-  const auto First = Cache.convWeights(Weights.data(), 16, 27);
-  ASSERT_TRUE(First);
-  EXPECT_FALSE(First->empty());
-  const auto Second = Cache.convWeights(Weights.data(), 16, 27);
-  EXPECT_EQ(First.get(), Second.get()) << "hit must reuse the panels";
-
-  const PackedWeightsCache::Stats S = Cache.stats();
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(S.Repacks, 0u);
-  EXPECT_EQ(S.Entries, 1u);
-  EXPECT_GT(S.Bytes, 0u);
-}
-
-TEST(PackedWeightsTest, MutationForcesRepackAndStalePanelsAreNeverUsed) {
-  PackedWeightsCache &Cache = PackedWeightsCache::instance();
-  Cache.clear();
-  auto Weights = fillDeterministic(8 * 18, 0.5f);
-
-  const auto Before = Cache.convWeights(Weights.data(), 8, 18);
-  ASSERT_TRUE(Before);
-
-  // Mutate one element the way a training step would.
-  Weights[5] += 1.0f;
-  const auto After = Cache.convWeights(Weights.data(), 8, 18);
-  ASSERT_TRUE(After);
-  EXPECT_NE(Before.get(), After.get())
-      << "stale panels must not be returned after a mutation";
-  EXPECT_EQ(Cache.stats().Repacks, 1u);
-
-  // The repacked panels are exactly a fresh pack of the mutated matrix;
-  // the caller-held stale panels survive (shared_ptr) but a new pack of
-  // the old bytes they hold no longer matches.
-  const PackedPanels Fresh = packGemmA(Weights.data(), 18, 1, 8, 18);
-  ASSERT_EQ(After->Data.size(), Fresh.Data.size());
-  EXPECT_EQ(0, std::memcmp(After->Data.data(), Fresh.Data.data(),
-                           Fresh.Data.size() * sizeof(float)));
-  EXPECT_NE(0, std::memcmp(Before->Data.data(), Fresh.Data.data(),
-                           Fresh.Data.size() * sizeof(float)));
-
-  // Unchanged weights hit again: the fingerprint check is per-lookup,
-  // not per-pointer-change.
-  const auto Again = Cache.convWeights(Weights.data(), 8, 18);
-  EXPECT_EQ(After.get(), Again.get());
-  EXPECT_EQ(Cache.stats().Hits, 1u);
-}
-
-TEST(PackedWeightsTest, ConvAndDenseRolesAreSeparateEntries) {
-  PackedWeightsCache &Cache = PackedWeightsCache::instance();
-  Cache.clear();
-  // A square matrix is valid as either operand; the role must still key
-  // separately because the panel layouts differ.
-  const auto Weights = fillDeterministic(32 * 32, 0.125f);
-  const auto AsConv = Cache.convWeights(Weights.data(), 32, 32);
-  const auto AsDense = Cache.denseWeights(Weights.data(), 32, 32);
-  EXPECT_NE(AsConv.get(), AsDense.get());
-  EXPECT_EQ(Cache.stats().Entries, 2u);
-
-  Cache.invalidate(Weights.data());
-  EXPECT_EQ(Cache.stats().Entries, 0u);
-  EXPECT_EQ(Cache.stats().Bytes, 0u);
-}
-
-TEST(PackedWeightsTest, DensePanelsMatchDirectPackGemmB) {
-  PackedWeightsCache &Cache = PackedWeightsCache::instance();
-  Cache.clear();
-  const int OutF = 24, InF = 40;
-  const auto Weights =
-      fillDeterministic(static_cast<size_t>(OutF) * InF, 0.25f);
-  const auto Cached = Cache.denseWeights(Weights.data(), OutF, InF);
-  // x * W^T: B(k, j) = Weights[j * InF + k].
-  const PackedPanels Direct =
-      packGemmB(Weights.data(), 1, static_cast<size_t>(InF), InF, OutF);
-  ASSERT_EQ(Cached->Data.size(), Direct.Data.size());
-  EXPECT_EQ(0, std::memcmp(Cached->Data.data(), Direct.Data.data(),
-                           Direct.Data.size() * sizeof(float)));
 }
 
 //===----------------------------------------------------------------------===//

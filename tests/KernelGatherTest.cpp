@@ -499,6 +499,73 @@ TEST(KernelGatherTest, FusedConvPacksMultiRowPanelsLikeMaterializedIm2col) {
 }
 
 //===----------------------------------------------------------------------===//
+// Eval-mode Conv2D forward
+//===----------------------------------------------------------------------===//
+
+TEST(KernelGatherTest, EvalConvForwardMatchesMaterializedIm2colAtBatch1And64) {
+  // The eval forward packs the weight panels once per call and shares
+  // them across the whole batch; every sample must still come out as
+  // the blocked GEMM over its own materialized im2col matrix, for any
+  // batch and worker count.
+  struct EvalCase {
+    ConvGeometry G;
+    bool HasBias;
+  };
+  int Cases = 0;
+  for (const EvalCase &C : {EvalCase{{3, 8, 3, 1, 1}, true},
+                            EvalCase{{8, 16, 3, 2, 1}, true},
+                            EvalCase{{16, 12, 1, 1, 0}, false},
+                            EvalCase{{4, 6, 5, 1, 2}, true}})
+    for (int Batch : {1, 64})
+      for (unsigned Workers : {1u, 4u}) {
+        ++Cases;
+        setKernelWorkers(Workers);
+        const ConvGeometry &G = C.G;
+        const int Height = 8, Width = 8;
+        const int OutH = G.outExtent(Height), OutW = G.outExtent(Width);
+        const int ColRows = G.InChannels * G.KernelSize * G.KernelSize;
+        const int ColCols = OutH * OutW;
+        const size_t InPlane =
+            static_cast<size_t>(G.InChannels) * Height * Width;
+        const size_t OutPlane = static_cast<size_t>(G.OutChannels) * ColCols;
+        Conv2D Conv(G, C.HasBias);
+        Rng Generator(60 + Cases);
+        Conv.initParams(Generator);
+        const float *Bias = nullptr;
+        if (Param *B = Conv.bias()) {
+          for (size_t I = 0; I < B->Value.size(); ++I)
+            B->Value[I] = 0.125f * static_cast<float>(I);
+          Bias = B->Value.data();
+        }
+        const std::vector<float> Images = mixedValues(Batch * InPlane, Cases);
+
+        std::vector<float> Columns(static_cast<size_t>(ColRows) * ColCols);
+        std::vector<float> Expected(Batch * OutPlane);
+        for (int S = 0; S < Batch; ++S) {
+          im2colOracle(Images.data() + S * InPlane, G.InChannels, Height,
+                       Width, G, Columns.data());
+          detail::blockedGemm(Conv.weight().Value.data(),
+                              static_cast<size_t>(ColRows), 1,
+                              Columns.data(), static_cast<size_t>(ColCols), 1,
+                              Expected.data() + S * OutPlane, G.OutChannels,
+                              ColRows, ColCols, /*Accumulate=*/false, Bias);
+        }
+
+        Tensor In(Shape{Batch, G.InChannels, Height, Width});
+        std::memcpy(In.data(), Images.data(), Images.size() * sizeof(float));
+        Tensor Out(Conv.outputShape({In.shape()}));
+        LayerScratch Scratch;
+        Conv.forward({&In}, Out, Scratch, /*Training=*/false);
+        expectSameBits(Expected, Out.data(),
+                       describe("eval conv", G.KernelSize, G.Stride, G.Pad,
+                                Height, Width) +
+                           " batch " + std::to_string(Batch) + ", " +
+                           std::to_string(Workers) + " workers");
+      }
+  setKernelWorkers(1);
+}
+
+//===----------------------------------------------------------------------===//
 // Pointwise Conv2D reads its input plane in place
 //===----------------------------------------------------------------------===//
 

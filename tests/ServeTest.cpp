@@ -16,6 +16,7 @@
 #include "src/compiler/Solver.h"
 #include "src/data/Synthetic.h"
 #include "src/models/MiniModels.h"
+#include "src/models/RandomModels.h"
 #include "src/nn/Serialize.h"
 #include "src/pruning/PruneConfig.h"
 #include "src/support/File.h"
@@ -31,6 +32,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <thread>
@@ -581,6 +583,8 @@ TEST(ServeHttpServerTest, DrainStopsAcceptingNewConnections) {
 
 struct BuiltModel {
   std::shared_ptr<AssembledNetwork> Network;
+  /// Network frozen at the input extents below; what every batcher runs.
+  std::shared_ptr<const ExecPlan> Plan;
   int Channels = 3;
   int Height = 8;
   int Width = 8;
@@ -617,6 +621,14 @@ const BuiltModel &builtModel() {
     Out.Channels = Spec->InputChannels;
     Out.Height = Spec->InputHeight;
     Out.Width = Spec->InputWidth;
+    if (Out.Network) {
+      Result<ExecPlan> Compiled = ExecPlan::compile(
+          Out.Network->Network, Out.Network->InputNode,
+          Out.Network->LogitsNode, Out.Channels, Out.Height, Out.Width);
+      EXPECT_TRUE(static_cast<bool>(Compiled)) << Compiled.message();
+      if (Compiled)
+        Out.Plan = std::make_shared<const ExecPlan>(Compiled.take());
+    }
     return Out;
   }();
   return Model;
@@ -634,7 +646,7 @@ TEST(ServeBatcherTest, PredictsASingleSample) {
   const BuiltModel &Model = builtModel();
   ASSERT_TRUE(Model.Network);
   RunLog Log;
-  Batcher Engine(Model.Network, BatcherOptions(), &Log, nullptr);
+  Batcher Engine(Model.Plan, BatcherOptions(), &Log, nullptr);
   const Tensor Sample = sampleInput(Model, 0.1f);
   Result<Prediction> Out = Engine.predict(Sample);
   ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
@@ -656,7 +668,7 @@ TEST(ServeBatcherTest, CoalescesConcurrentRequestsIntoSharedBatches) {
   BatcherOptions Options;
   Options.MaxBatch = 8;
   Options.MaxWaitMicros = 100000; // Generous: coalescing must win.
-  Batcher Engine(Model.Network, Options, &Log, &Latency);
+  Batcher Engine(Model.Plan, Options, &Log, &Latency);
 
   constexpr int Threads = 6;
   std::vector<Tensor> Samples;
@@ -694,14 +706,14 @@ TEST(ServeBatcherTest, BatchedLogitsMatchSoloInference) {
   ASSERT_TRUE(Model.Network);
   const Tensor Sample = sampleInput(Model, 0.2f);
 
-  Batcher Solo(Model.Network, BatcherOptions(), nullptr, nullptr);
+  Batcher Solo(Model.Plan, BatcherOptions(), nullptr, nullptr);
   Result<Prediction> Alone = Solo.predict(Sample);
   ASSERT_TRUE(static_cast<bool>(Alone)) << Alone.message();
   Solo.stop();
 
   BatcherOptions Options;
   Options.MaxWaitMicros = 100000;
-  Batcher Crowded(Model.Network, Options, nullptr, nullptr);
+  Batcher Crowded(Model.Plan, Options, nullptr, nullptr);
   const Tensor Other = sampleInput(Model, 0.9f);
   Result<Prediction> Together(Error::failure("unset"));
   std::thread Companion([&] {
@@ -722,25 +734,23 @@ TEST(ServeBatcherTest, BatchedLogitsMatchSoloInference) {
   EXPECT_EQ(Together->ArgMax, Alone->ArgMax);
 }
 
+/// Eval-mode interpreter logits of \p Network for \p Sample, one row.
+Tensor interpreterLogits(const AssembledNetwork &Network,
+                         const Tensor &Sample) {
+  ExecContext Ctx(Network.Network);
+  Ctx.setInput(Network.InputNode, Sample);
+  Ctx.forward(Network.Network, /*Training=*/false);
+  return Ctx.activation(Network.LogitsNode);
+}
+
 TEST(ServeBatcherTest, PlanBackedBatcherMatchesInterpreter) {
   const BuiltModel &Model = builtModel();
   ASSERT_TRUE(Model.Network);
+  ASSERT_TRUE(Model.Plan);
   const Tensor Sample = sampleInput(Model, 0.3f);
+  const Tensor Reference = interpreterLogits(*Model.Network, Sample);
 
-  Batcher Interpreted(Model.Network, BatcherOptions(), nullptr, nullptr);
-  Result<Prediction> Reference = Interpreted.predict(Sample);
-  ASSERT_TRUE(static_cast<bool>(Reference)) << Reference.message();
-  Interpreted.stop();
-
-  Result<ExecPlan> Compiled = ExecPlan::compile(
-      Model.Network->Network, Model.Network->InputNode,
-      Model.Network->LogitsNode, Model.Channels, Model.Height,
-      Model.Width);
-  ASSERT_TRUE(static_cast<bool>(Compiled)) << Compiled.message();
-  auto Plan = std::make_shared<const ExecPlan>(Compiled.take());
-
-  RunLog Log;
-  Batcher Planned(Model.Network, BatcherOptions(), &Log, nullptr, Plan);
+  Batcher Planned(Model.Plan, BatcherOptions(), nullptr, nullptr);
   Result<Prediction> Out = Planned.predict(Sample);
   ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
 
@@ -755,29 +765,61 @@ TEST(ServeBatcherTest, PlanBackedBatcherMatchesInterpreter) {
   Planned.stop();
 
   // Folding batch norms into convolutions reassociates float math, so
-  // the engines agree to 1e-4 rather than bit-for-bit.
-  ASSERT_EQ(Out->Logits.size(), Reference->Logits.size());
-  for (size_t I = 0; I < Reference->Logits.size(); ++I)
-    EXPECT_NEAR(Out->Logits.data()[I], Reference->Logits.data()[I], 1e-4f)
+  // the plan agrees with the interpreter to 1e-4 rather than bit for
+  // bit.
+  ASSERT_EQ(Out->Logits.size(), Reference.size());
+  int ArgMax = 0;
+  for (size_t I = 0; I < Reference.size(); ++I) {
+    EXPECT_NEAR(Out->Logits.data()[I], Reference.data()[I], 1e-4f)
         << "logit " << I;
-  EXPECT_EQ(Out->ArgMax, Reference->ArgMax);
-  EXPECT_GE(Log.counters().at("serve.predict.plan_batches"), 1);
+    if (Reference.data()[I] > Reference.data()[ArgMax])
+      ArgMax = static_cast<int>(I);
+  }
+  EXPECT_EQ(Out->ArgMax, ArgMax);
+}
+
+TEST(ServeBatcherTest, MismatchedSampleFailsAloneInASharedBatch) {
+  const BuiltModel &Model = builtModel();
+  ASSERT_TRUE(Model.Plan);
+  const Tensor Good = sampleInput(Model, 0.6f);
+  Tensor Wrong(Shape{1, Model.Channels, Model.Height, Model.Width + 2});
+  for (size_t I = 0; I < Wrong.size(); ++I)
+    Wrong.data()[I] = 0.6f;
+
+  BatcherOptions Options;
+  Options.Workers = 1;
+  Options.MaxWaitMicros = 100000; // Both requests ride one batch.
+  Batcher Engine(Model.Plan, Options, nullptr, nullptr);
+  Result<Prediction> Rejected(Error::failure("unset"));
+  std::thread Companion([&] { Rejected = Engine.predict(Wrong); });
+  Result<Prediction> Served = Engine.predict(Good);
+  Companion.join();
+  Engine.stop();
+
+  EXPECT_FALSE(static_cast<bool>(Rejected));
+  EXPECT_NE(Rejected.message().find("compiled plan"), std::string::npos);
+  ASSERT_TRUE(static_cast<bool>(Served)) << Served.message();
+  PlanContext Direct(*Model.Plan);
+  const Tensor &Expected = Direct.run(Good);
+  ASSERT_EQ(Served->Logits.size(), Expected.size());
+  EXPECT_EQ(0, std::memcmp(Served->Logits.data(), Expected.data(),
+                           Expected.size() * sizeof(float)));
 }
 
 TEST(ServeBatcherTest, RegistryCompilesPlansWhenEnabled) {
+  // Registration always freezes: every servable model is a plan.
   const BuiltModel &Model = builtModel();
   ASSERT_TRUE(Model.Network);
   RunLog Log;
-  BatcherOptions Options;
-  Options.UsePlans = true;
-  ModelRegistry Registry(Options, &Log, nullptr);
+  ModelRegistry Registry(BatcherOptions(), &Log, nullptr);
   ASSERT_FALSE(static_cast<bool>(Registry.add(
       "frozen", Model.Network, Model.Channels, Model.Height, Model.Width,
       Model.Classes, "test")));
 
   ServableModel *Servable = Registry.find("frozen");
   ASSERT_NE(Servable, nullptr);
-  EXPECT_NE(Servable->Plan, nullptr);
+  ASSERT_NE(Servable->Plan, nullptr);
+  EXPECT_EQ(Servable->Plan->inputHeight(), Model.Height);
   EXPECT_EQ(Log.counters().at("serve.models.plans_compiled"), 1);
 
   const Tensor Sample = sampleInput(Model, 0.4f);
@@ -786,7 +828,86 @@ TEST(ServeBatcherTest, RegistryCompilesPlansWhenEnabled) {
   EXPECT_EQ(Out->Logits.shape().rank(), 1);
   EXPECT_EQ(Out->Logits.shape()[0], Model.Classes);
   Registry.stopAll();
-  EXPECT_GE(Log.counters().at("serve.predict.plan_batches"), 1);
+  EXPECT_EQ(Log.counters().at("serve.predict.batches"), 1);
+
+  // A network the plan compiler cannot freeze is a registration error,
+  // not a silent fallback.
+  auto Broken = std::make_shared<AssembledNetwork>();
+  Broken->InputNode = Model.Network->InputNode;
+  Broken->LogitsNode = "no-such-node";
+  Error Rejected = Registry.add("broken", Broken, Model.Channels,
+                                Model.Height, Model.Width, Model.Classes,
+                                "test");
+  ASSERT_TRUE(static_cast<bool>(Rejected));
+  EXPECT_NE(Rejected.message().find("freezing model 'broken'"),
+            std::string::npos)
+      << Rejected.message();
+  EXPECT_EQ(Registry.find("broken"), nullptr);
+}
+
+TEST(ServeBatcherTest, EveryStandardAndRandomModelServesItsPlanBitForBit) {
+  // Served logits are exactly a direct PlanContext run of the registered
+  // plan, and within 1e-4 of the interpreter with the same argmax.
+  std::vector<ModelSpec> Specs;
+  for (StandardModel Which : standardModels()) {
+    Result<ModelSpec> Spec = makeStandardModel(Which, 4);
+    ASSERT_TRUE(static_cast<bool>(Spec)) << Spec.message();
+    Specs.push_back(Spec.take());
+  }
+  for (int Seed = 1; Seed <= 3; ++Seed) {
+    Rng Generator(static_cast<uint64_t>(Seed) * 7919 + 13);
+    Result<ModelSpec> Spec =
+        makeRandomModel("random-" + std::to_string(Seed), Generator);
+    ASSERT_TRUE(static_cast<bool>(Spec)) << Spec.message();
+    Specs.push_back(Spec.take());
+  }
+
+  BatcherOptions Options;
+  Options.Workers = 1;
+  ModelRegistry Registry(Options, nullptr, nullptr);
+  for (const ModelSpec &Spec : Specs) {
+    Result<BuiltNetwork> Built = buildFullNetwork(Spec, 19);
+    ASSERT_TRUE(static_cast<bool>(Built)) << Built.message();
+    auto Network = std::make_shared<AssembledNetwork>();
+    Network->InputNode = Built->InputNode;
+    Network->LogitsNode = Built->LogitsNode;
+    Network->Network = std::move(Built->Network);
+    ASSERT_FALSE(static_cast<bool>(Registry.add(
+        Spec.Name, Network, Spec.InputChannels, Spec.InputHeight,
+        Spec.InputWidth, Built->Classes, "test")))
+        << Spec.Name;
+    ServableModel *Servable = Registry.find(Spec.Name);
+    ASSERT_NE(Servable, nullptr);
+
+    for (int K = 0; K < 3; ++K) {
+      Tensor Sample(Shape{1, Spec.InputChannels, Spec.InputHeight,
+                          Spec.InputWidth});
+      for (size_t I = 0; I < Sample.size(); ++I)
+        Sample.data()[I] =
+            0.05f * static_cast<float>(static_cast<int>((I + K) % 13) - 6);
+      Result<Prediction> Served = Servable->Engine->predict(Sample);
+      ASSERT_TRUE(static_cast<bool>(Served)) << Served.message();
+
+      PlanContext Direct(*Servable->Plan);
+      const Tensor &Planned = Direct.run(Sample);
+      ASSERT_EQ(Served->Logits.size(), Planned.size()) << Spec.Name;
+      EXPECT_EQ(0, std::memcmp(Served->Logits.data(), Planned.data(),
+                               Planned.size() * sizeof(float)))
+          << Spec.Name << " sample " << K;
+
+      const Tensor Reference = interpreterLogits(*Network, Sample);
+      ASSERT_EQ(Reference.size(), Planned.size());
+      int ArgMax = 0;
+      for (size_t I = 0; I < Reference.size(); ++I) {
+        EXPECT_NEAR(Served->Logits.data()[I], Reference.data()[I], 1e-4f)
+            << Spec.Name << " sample " << K << " logit " << I;
+        if (Reference.data()[I] > Reference.data()[ArgMax])
+          ArgMax = static_cast<int>(I);
+      }
+      EXPECT_EQ(Served->ArgMax, ArgMax) << Spec.Name << " sample " << K;
+    }
+  }
+  Registry.stopAll();
 }
 
 TEST(ServeBatcherPoolTest, ConcurrentWorkersAreBitIdenticalToSolo) {
@@ -804,7 +925,7 @@ TEST(ServeBatcherPoolTest, ConcurrentWorkersAreBitIdenticalToSolo) {
     BatcherOptions Solo;
     Solo.MaxBatch = 1;
     Solo.Workers = 1;
-    Batcher Engine(Model.Network, Solo, nullptr, nullptr);
+    Batcher Engine(Model.Plan, Solo, nullptr, nullptr);
     for (int I = 0; I < Requests; ++I) {
       Result<Prediction> Out = Engine.predict(Samples[I]);
       ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
@@ -821,7 +942,7 @@ TEST(ServeBatcherPoolTest, ConcurrentWorkersAreBitIdenticalToSolo) {
   Pooled.MaxBatch = 1;
   Pooled.Workers = 4;
   RunLog Log;
-  Batcher Engine(Model.Network, Pooled, &Log, nullptr);
+  Batcher Engine(Model.Plan, Pooled, &Log, nullptr);
   std::vector<Tensor> Got(Requests);
   std::vector<std::string> Errors(Requests);
   std::vector<std::thread> Clients;
@@ -861,7 +982,7 @@ TEST(ServeBatcherPoolTest, CoalescedPoolMatchesSoloInference) {
     BatcherOptions Solo;
     Solo.MaxBatch = 1;
     Solo.Workers = 1;
-    Batcher Engine(Model.Network, Solo, nullptr, nullptr);
+    Batcher Engine(Model.Plan, Solo, nullptr, nullptr);
     for (int I = 0; I < Requests; ++I) {
       Result<Prediction> Out = Engine.predict(Samples[I]);
       ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
@@ -877,7 +998,7 @@ TEST(ServeBatcherPoolTest, CoalescedPoolMatchesSoloInference) {
   Pooled.MaxBatch = 4;
   Pooled.Workers = 2;
   Pooled.MaxWaitMicros = 50000;
-  Batcher Engine(Model.Network, Pooled, nullptr, nullptr);
+  Batcher Engine(Model.Plan, Pooled, nullptr, nullptr);
   std::vector<Tensor> Got(Requests);
   std::vector<std::string> Errors(Requests);
   std::vector<std::thread> Clients;
@@ -906,7 +1027,7 @@ TEST(ServeBatcherPoolTest, CoalescedPoolMatchesSoloInference) {
 TEST(ServeBatcherTest, StopFailsFurtherPredictions) {
   const BuiltModel &Model = builtModel();
   ASSERT_TRUE(Model.Network);
-  Batcher Engine(Model.Network, BatcherOptions(), nullptr, nullptr);
+  Batcher Engine(Model.Plan, BatcherOptions(), nullptr, nullptr);
   Engine.stop();
   const Tensor Sample = sampleInput(Model, 0.3f);
   Result<Prediction> Out = Engine.predict(Sample);
