@@ -75,9 +75,7 @@ int main() {
     for (int WithWeights = 0; WithWeights < 2; ++WithWeights) {
       RunLog Log;
       ModelRegistry Registry(BatcherOptions(), &Log, nullptr);
-      ModelStoreOptions Options;
-      Options.Dir = Dir;
-      ModelStore Store(Options, &Registry, &Log);
+      ModelStore Store(Dir, ModelStoreOptions(), &Registry, &Log);
       std::map<std::string, std::string> Body = {{"model", Text},
                                                  {"id", "bench"}};
       if (WithWeights)

@@ -205,11 +205,17 @@ int main() {
   for (int MaxBatch : {1, 8}) {
     // One server per batch cap: the micro-batcher is configured at
     // construction. State lives under the shared bench cache dir so a
-    // rerun reuses the trained teacher.
+    // rerun reuses the trained teacher and blocks; earlier runs' job
+    // journals and artifacts go, so the drain below waits on this job
+    // alone.
     ServerOptions Options;
     Options.Http.Workers = 8;
     Options.Batching.MaxBatch = MaxBatch;
-    Options.Jobs.CacheDir = wootz::bench::cacheDir() + "/serve_bench";
+    Options.Artifacts.Root = wootz::bench::cacheDir() + "/serve_bench";
+    std::error_code FsError;
+    std::filesystem::remove_all(Options.Artifacts.Root + "/jobs", FsError);
+    std::filesystem::remove_all(Options.Artifacts.Root + "/artifacts",
+                                FsError);
     WootzServer Server(Options);
     if (Error Started = Server.start()) {
       std::fprintf(stderr, "bench server error: %s\n",

@@ -19,7 +19,7 @@
 //
 // The `serve` subcommand instead runs the pruning-as-a-service daemon:
 //
-//   wootz_cli serve [port [state-dir]]
+//   wootz_cli serve [port [root]] [--shard I/N]
 //
 // which accepts exploration jobs over HTTP (see DESIGN.md "Serving" and
 // the README quickstart) and drains gracefully on SIGTERM/SIGINT.
@@ -101,88 +101,77 @@ std::vector<std::string> writeSampleInputs(const std::string &Directory) {
 std::atomic<int> PendingSignal{0};
 void onShutdownSignal(int Signal) { PendingSignal.store(Signal); }
 
-/// `wootz_cli serve [port [state-dir]] [--artifact-root DIR]
-/// [--shard I/N]`: run the daemon until SIGTERM/SIGINT, then drain
-/// gracefully (finish in-flight requests and every accepted job before
-/// exiting).
+/// Exits 1 with \p Why and the serve usage line: a malformed serve
+/// argument is never guessed at.
+[[noreturn]] void serveUsageError(const std::string &Why) {
+  std::fprintf(stderr,
+               "serve: %s\nusage: wootz_cli serve [port [root]] "
+               "[--shard I/N]\n",
+               Why.c_str());
+  std::exit(1);
+}
+
+/// `wootz_cli serve [port [root]] [--shard I/N]`: run the daemon until
+/// SIGTERM/SIGINT, then drain gracefully (finish in-flight requests and
+/// every accepted job before exiting).
 ///
-/// With --artifact-root every daemon pointed at DIR shares one model
-/// store, block cache, job queue and artifact tier: a job submitted to
-/// any of them can execute on any of them, and tuning blocks trained by
-/// one warm the others. --shard I/N (1-based I) gives the process the
-/// stable identity "shard-I-of-N" so rendezvous placement survives
-/// restarts; without it the identity is derived from the pid.
+/// The root (default ./wootz_serve) holds every piece of daemon state:
+/// uploaded models, block cache, job queue and per-job artifacts. A
+/// daemon restarted on its root lists its earlier jobs and resumes the
+/// unfinished ones, and every daemon given the same root shares that
+/// state: a job submitted to any of them can execute on any of them,
+/// and tuning blocks trained by one warm the others. --shard I/N
+/// (1-based I) gives the process the stable identity "shard-I-of-N" so
+/// rendezvous placement survives restarts; without it the identity is
+/// derived from the pid.
 int runServe(int ArgCount, char **Args) {
   int Port = 8080;
-  std::string StateDir = "wootz_serve";
-  std::string ArtifactRoot;
+  std::string Root = "wootz_serve";
   std::string ProcessName;
   std::vector<std::string> Positional;
   for (int I = 2; I < ArgCount; ++I) {
     const std::string Arg = Args[I];
-    if (Arg == "--artifact-root" && I + 1 < ArgCount) {
-      ArtifactRoot = Args[++I];
-    } else if (Arg == "--shard" && I + 1 < ArgCount) {
-      const std::string Spec = Args[++I];
-      const size_t Slash = Spec.find('/');
-      long long Index = 0, Total = 0;
-      if (Slash != std::string::npos) {
-        Index = orDie(parseInteger(Spec.substr(0, Slash)),
-                      "parsing the shard index");
-        Total = orDie(parseInteger(Spec.substr(Slash + 1)),
-                      "parsing the shard count");
-      }
-      if (Slash == std::string::npos || Index < 1 || Total < 1 ||
-          Index > Total) {
-        std::fprintf(stderr, "serve: --shard wants I/N with 1 <= I <= N "
-                             "(got '%s')\n",
-                     Spec.c_str());
-        std::exit(1);
-      }
-      ProcessName = "shard-" + std::to_string(Index) + "-of-" +
-                    std::to_string(Total);
-    } else {
+    if (Arg.rfind("--", 0) != 0) {
       Positional.push_back(Arg);
+      continue;
     }
+    if (Arg != "--shard")
+      serveUsageError("unknown option '" + Arg + "'");
+    if (I + 1 >= ArgCount)
+      serveUsageError("--shard wants a value");
+    const std::string Spec = Args[++I];
+    const size_t Slash = Spec.find('/');
+    Result<long long> Index = parseInteger(Spec.substr(0, Slash));
+    Result<long long> Total = parseInteger(
+        Slash == std::string::npos ? "" : Spec.substr(Slash + 1));
+    if (!Index || !Total || *Index < 1 || *Total < 1 || *Index > *Total)
+      serveUsageError("--shard wants I/N with 1 <= I <= N (got '" + Spec +
+                      "')");
+    ProcessName = "shard-" + std::to_string(*Index) + "-of-" +
+                  std::to_string(*Total);
   }
+  if (Positional.size() > 2)
+    serveUsageError("unexpected argument '" + Positional[2] + "'");
   if (Positional.size() >= 1)
     Port = static_cast<int>(
         orDie(parseInteger(Positional[0]), "parsing the port"));
   if (Positional.size() >= 2)
-    StateDir = Positional[1];
-  if (!ProcessName.empty() && ArtifactRoot.empty()) {
-    std::fprintf(stderr,
-                 "serve: --shard only makes sense with --artifact-root\n");
-    std::exit(1);
-  }
+    Root = Positional[1];
 
   serve::ServerOptions Options;
   Options.Http.Port = Port;
-  if (!ArtifactRoot.empty()) {
-    // The shared tier supersedes the per-daemon state directory.
-    Options.Artifacts.Root = ArtifactRoot;
-    Options.Artifacts.ProcessName = ProcessName;
-  } else {
-    Options.Jobs.BlockCacheDir = StateDir + "/block_cache";
-    Options.Jobs.CacheDir = StateDir + "/cache";
-    Options.Jobs.ArtifactDir = StateDir + "/artifacts";
-    Options.Uploads.Dir = StateDir + "/models";
-  }
+  Options.Artifacts.Root = Root;
+  Options.Artifacts.ProcessName = ProcessName;
 
   serve::WootzServer Server(Options);
   orDie(Server.start(), "starting the server");
   std::signal(SIGTERM, onShutdownSignal);
   std::signal(SIGINT, onShutdownSignal);
 
-  if (!ArtifactRoot.empty())
-    std::printf("wootz serve: listening on http://127.0.0.1:%d "
-                "(process '%s' on shared artifact root %s/)\n",
-                Server.port(), Server.artifacts().processName().c_str(),
-                ArtifactRoot.c_str());
-  else
-    std::printf("wootz serve: listening on http://127.0.0.1:%d "
-                "(state under %s/)\n",
-                Server.port(), StateDir.c_str());
+  std::printf("wootz serve: listening on http://127.0.0.1:%d "
+              "(process '%s', state under %s/)\n",
+              Server.port(), Server.artifacts().processName().c_str(),
+              Root.c_str());
   std::printf("  POST /v1/jobs, GET /v1/jobs/<id>, POST /v1/models, "
               "POST /v1/models/<id>/predict, GET /metrics\n");
   std::printf("  SIGTERM/Ctrl-C drains: accepted jobs finish first\n");

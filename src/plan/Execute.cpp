@@ -36,7 +36,6 @@ void execConv(const PlanStep &Step, const PlanBuffer &In,
   const float *InBase = bufferBase(Arena, In, N);
   float *OutBase = bufferBase(Arena, Out, N);
   const float *BiasPtr = Step.HasBias ? Step.Bias.data() : nullptr;
-  const PackedPanels *Packed = Step.Packed.empty() ? nullptr : &Step.Packed;
 
   // The whole batched conv GEMM goes through the fused im2col+pack
   // engine: B panels come straight from the activation image, A panels
@@ -45,8 +44,9 @@ void execConv(const PlanStep &Step, const PlanBuffer &In,
   // fused-ReLU epilogue rides each task. This is the same code path as
   // the interpreter's eval forward, so plan and interpreter logits stay
   // bit-identical (modulo BatchNorm folding).
-  convForwardFused(InBase, N, In.Height, In.Width, Step.Geometry, Packed,
-                   Step.Weight.data(), BiasPtr, Step.FusedReLU, OutBase);
+  convForwardFused(InBase, N, In.Height, In.Width, Step.Geometry,
+                   &Step.Packed, /*Weights=*/nullptr, BiasPtr,
+                   Step.FusedReLU, OutBase);
 }
 
 void execScaleShift(const PlanStep &Step, const PlanBuffer &In,
@@ -143,11 +143,8 @@ void execDense(const PlanStep &Step, const PlanBuffer &In,
   const int K = Step.InFeatures;
   const int F = Step.OutFeatures;
   if (gemmUsesBlockedEngine(N, K, F)) {
-    const PackedPanels *Packed =
-        Step.Packed.empty() ? nullptr : &Step.Packed;
     detail::blockedGemmPacked(nullptr, InBase, static_cast<size_t>(K), 1,
-                              Packed, Step.Weight.data(), 1,
-                              static_cast<size_t>(K), OutBase, N, K, F,
+                              &Step.Packed, nullptr, 0, 0, OutBase, N, K, F,
                               /*Accumulate=*/false, /*RowBias=*/nullptr);
   } else {
     gemmTransposeBReference(InBase, Step.Weight.data(), OutBase, N, K, F,

@@ -266,14 +266,14 @@ Result<ExecPlan> ExecPlan::compile(const Graph &G,
         Tail = It->second;
       }
       Tail = maybeFuseRelu(Step, Tail);
-      if (Options.PrePackPanels) {
-        const int ColRows = Step.Geometry.InChannels *
-                            Step.Geometry.KernelSize *
-                            Step.Geometry.KernelSize;
-        Step.Packed = packGemmA(Step.Weight.data(),
-                                static_cast<size_t>(ColRows), 1,
-                                Step.Geometry.OutChannels, ColRows);
-      }
+      // Execution reads only the panels: the (folded) OIHW copy goes.
+      const int ColRows = Step.Geometry.InChannels *
+                          Step.Geometry.KernelSize *
+                          Step.Geometry.KernelSize;
+      Step.Packed = packGemmA(Step.Weight.data(),
+                              static_cast<size_t>(ColRows), 1,
+                              Step.Geometry.OutChannels, ColRows);
+      Step.Weight = Tensor();
     } else if (Kind == "batchnorm") {
       const auto &Bn = static_cast<const BatchNorm2D &>(*L);
       Step.Kind = PlanStep::Op::ScaleShift;
@@ -300,12 +300,12 @@ Result<ExecPlan> ExecPlan::compile(const Graph &G,
       Step.InFeatures = Fc.inFeatures();
       Step.OutFeatures = Fc.outFeatures();
       Tail = maybeFuseRelu(Step, Tail);
-      if (Options.PrePackPanels)
-        // Dense weights are the transposed B operand: B^T(k, j) =
-        // W[j * K + k], i.e. strides (1, K).
-        Step.Packed = packGemmB(Step.Weight.data(), 1,
-                                static_cast<size_t>(Step.InFeatures),
-                                Step.InFeatures, Step.OutFeatures);
+      // Dense weights are the transposed B operand: B^T(k, j) =
+      // W[j * K + k], i.e. strides (1, K). Weight stays too: small
+      // products take the unpacked reference path.
+      Step.Packed = packGemmB(Step.Weight.data(), 1,
+                              static_cast<size_t>(Step.InFeatures),
+                              Step.InFeatures, Step.OutFeatures);
     } else if (Kind == "concat") {
       Step.Kind = PlanStep::Op::Concat;
     } else if (Kind == "add") {
@@ -424,8 +424,7 @@ std::string ExecPlan::describeJson() const {
       .field("arenaPerSample", ArenaPerSample)
       .field("outputBuffer", OutputBuf)
       .field("foldBatchNorm", Opts.FoldBatchNorm)
-      .field("fuseReLU", Opts.FuseReLU)
-      .field("prePackPanels", Opts.PrePackPanels);
+      .field("fuseReLU", Opts.FuseReLU);
   std::string Out = Meta.str();
   Out.pop_back(); // Reopen the object to append the arrays.
   Out += ",\n  \"steps\": [\n" + Steps + "\n  ],\n  \"buffers\": [\n" +

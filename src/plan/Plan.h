@@ -64,9 +64,6 @@ struct PlanOptions {
   bool FoldBatchNorm = true;
   /// Fuse a single-consumer ReLU into its producer step's epilogue.
   bool FuseReLU = true;
-  /// Pre-pack Conv (A operand) and Dense (B operand) weight panels for
-  /// the blocked GEMM engine.
-  bool PrePackPanels = true;
 };
 
 /// One executable step of a plan. Inputs/Output index ExecPlan's buffer
@@ -95,12 +92,14 @@ struct PlanStep {
 
   // Operator parameters; which fields are live depends on Kind.
   ConvGeometry Geometry;              ///< Conv.
-  Tensor Weight;                      ///< Conv OIHW / Dense [Out, In] /
-                                      ///< ScaleShift per-channel scale.
+  Tensor Weight;                      ///< Dense [Out, In] / ScaleShift
+                                      ///< per-channel scale; empty for
+                                      ///< Conv, which keeps only Packed.
   Tensor Bias;                        ///< Conv/Dense bias [Out] /
                                       ///< ScaleShift per-channel shift.
   bool HasBias = false;               ///< Conv: bias term present.
-  PackedPanels Packed;                ///< Pre-packed GEMM panels.
+  PackedPanels Packed;                ///< Conv A / Dense B GEMM panels,
+                                      ///< packed at freeze time.
   Pool2D::Mode PoolMode = Pool2D::Mode::Max;
   int Window = 0, Stride = 0, Pad = 0; ///< MaxPool/AvgPool.
   int InFeatures = 0, OutFeatures = 0; ///< Dense.

@@ -21,8 +21,6 @@ namespace fs = std::filesystem;
 
 ArtifactStore::ArtifactStore(ArtifactStoreOptions Options, RunLog *Log)
     : Options(std::move(Options)), Log(Log) {
-  if (!enabled())
-    return;
   if (this->Options.ProcessName.empty()) {
     // Unique per store *instance*, not just per OS process: benches and
     // tests run several daemons inside one process.
@@ -37,6 +35,13 @@ ArtifactStore::ArtifactStore(ArtifactStoreOptions Options, RunLog *Log)
 
 ArtifactStore::~ArtifactStore() { unregisterProcess(); }
 
+Error ArtifactStore::rootError() const {
+  if (Options.Root.empty())
+    return Error::failure("the artifact root is empty; give the daemon a "
+                          "state directory");
+  return Error::success();
+}
+
 CacheConfig ArtifactStore::blockCacheConfig() const {
   CacheConfig Out;
   Out.Directory = blockCacheDir();
@@ -45,8 +50,8 @@ CacheConfig ArtifactStore::blockCacheConfig() const {
 }
 
 Error ArtifactStore::heartbeat() {
-  if (!enabled())
-    return Error::success();
+  if (Error E = rootError())
+    return E;
   JsonObject Beat;
   Beat.field("name", Options.ProcessName)
       .field("expires_unix_ms",
@@ -60,7 +65,7 @@ Error ArtifactStore::heartbeat() {
 }
 
 void ArtifactStore::unregisterProcess() {
-  if (!enabled() || !Registered)
+  if (!Registered)
     return;
   std::error_code Ignored;
   fs::remove(heartbeatPath(), Ignored);
@@ -69,8 +74,6 @@ void ArtifactStore::unregisterProcess() {
 
 std::vector<std::string> ArtifactStore::activeProcesses() const {
   std::vector<std::string> Out;
-  if (!enabled())
-    return Out;
   const int64_t NowMs = unixMillisNow();
   std::error_code FsError;
   for (const auto &Entry :
@@ -123,7 +126,7 @@ std::string ArtifactStore::ownerOf(const std::string &Key) const {
 }
 
 bool ArtifactStore::ownsLocally(const std::string &Key) const {
-  if (!enabled() || !Registered)
+  if (!Registered)
     return true;
   const std::string Owner = ownerOf(Key);
   return Owner.empty() || Owner == Options.ProcessName;
@@ -131,8 +134,6 @@ bool ArtifactStore::ownsLocally(const std::string &Key) const {
 
 ArtifactUsage ArtifactStore::usage(const std::string &Dir) {
   ArtifactUsage Out;
-  if (Dir.empty())
-    return Out;
   std::error_code FsError;
   for (const auto &Entry : fs::directory_iterator(Dir, FsError)) {
     if (!Entry.is_regular_file(FsError))

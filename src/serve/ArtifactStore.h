@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared state tier that lets N serve daemons behave like one
-/// deployment: a single rooted directory layout holding everything that
-/// used to be scattered across per-daemon options (the cross-run tuning
-/// BlockCache, the trained-full-model cache, per-job artifacts, the
-/// durable job queue, and uploaded models), plus a process registry with
-/// heartbeat files and consistent-hash model placement.
+/// The state tier of every serve daemon, which also lets N daemons
+/// behave like one deployment: a single rooted directory layout holding
+/// everything a daemon keeps on disk (the cross-run tuning BlockCache,
+/// the trained-full-model cache, per-job artifacts, the durable job
+/// queue, and uploaded models), plus a process registry with heartbeat
+/// files and consistent-hash model placement.
 ///
 /// Layout under one Root:
 ///
@@ -53,7 +53,9 @@ namespace serve {
 
 /// Shared-tier knobs.
 struct ArtifactStoreOptions {
-  /// Root directory; empty disables the store (all paths empty).
+  /// Root directory. Required: an empty root is an error (rootError()),
+  /// and the layout paths are then empty, so nothing built on the store
+  /// writes under the filesystem root.
   std::string Root;
   /// This process's registered identity; empty generates
   /// "proc-<pid>-<n>" (unique per store instance, so tests and benches
@@ -76,9 +78,6 @@ struct ArtifactUsage {
 /// daemon, shared by JobManager/ModelStore/metrics.
 class ArtifactStore {
 public:
-  /// A disabled store: every path accessor returns "".
-  ArtifactStore() = default;
-
   explicit ArtifactStore(ArtifactStoreOptions Options,
                          RunLog *Log = nullptr);
   ~ArtifactStore();
@@ -86,11 +85,14 @@ public:
   ArtifactStore(const ArtifactStore &) = delete;
   ArtifactStore &operator=(const ArtifactStore &) = delete;
 
-  bool enabled() const { return !Options.Root.empty(); }
   const std::string &root() const { return Options.Root; }
   const std::string &processName() const { return Options.ProcessName; }
 
-  // The rooted layout ("" when disabled).
+  /// Fails when the root is empty: the store has no layout, and a
+  /// daemon on it refuses to start.
+  Error rootError() const;
+
+  // The rooted layout ("" when the root is empty).
   std::string blockCacheDir() const { return sub("block_cache"); }
   std::string modelCacheDir() const { return sub("cache"); }
   std::string jobsDir() const { return sub("jobs"); }
@@ -103,7 +105,7 @@ public:
 
   /// Writes this process's heartbeat file (registration is just the
   /// first heartbeat). Call periodically — at least once per
-  /// ProcessTtlSeconds — to stay in placement.
+  /// ProcessTtlSeconds — to stay in placement. Fails on an empty root.
   Error heartbeat();
 
   /// Removes this process from the registry (destructor does too).
@@ -113,12 +115,12 @@ public:
   std::vector<std::string> activeProcesses() const;
 
   /// The active process that places \p Key, by rendezvous hashing; ""
-  /// when the store is disabled or no process is registered. Every
-  /// process sharing the root computes the same answer.
+  /// when no process is registered. Every process sharing the root
+  /// computes the same answer.
   std::string ownerOf(const std::string &Key) const;
 
-  /// True when this process should do eager work for \p Key: the store
-  /// is disabled, this process is unregistered, or ownerOf() names it.
+  /// True when this process should do eager work for \p Key: this
+  /// process is unregistered, or ownerOf() names it.
   bool ownsLocally(const std::string &Key) const;
 
   /// Entry count and byte total under \p Dir (one level, regular files)

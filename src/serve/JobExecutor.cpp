@@ -194,10 +194,10 @@ wootz::serve::parseJobSpec(const std::map<std::string, std::string> &Body,
 //===----------------------------------------------------------------------===//
 
 JobExecutor::JobExecutor(JobExecutorOptions Options, JobQueue &Queue,
-                         ModelRegistry *Registry, RunLog *Log,
-                         const ModelStore *Store, ArtifactStore *Artifacts)
-    : Options(Options), Queue(Queue), Registry(Registry), Log(Log),
-      Store(Store), Artifacts(Artifacts) {
+                         ArtifactStore &Artifacts, ModelRegistry *Registry,
+                         RunLog *Log, const ModelStore *Store)
+    : Options(Options), Queue(Queue), Artifacts(Artifacts),
+      Registry(Registry), Log(Log), Store(Store) {
   Queue.setNotifier([this] {
     std::lock_guard<std::mutex> Lock(Mutex);
     WorkHint = true;
@@ -208,16 +208,15 @@ JobExecutor::JobExecutor(JobExecutorOptions Options, JobQueue &Queue,
     Workers.reserve(static_cast<size_t>(Count));
     for (int I = 0; I < Count; ++I)
       Workers.emplace_back([this] { workerLoop(); });
-    // Work submitted before the queue had a notifier (durable startup
-    // pickup) is already claimable.
+    // Work submitted before the queue had a notifier (journals picked up
+    // at startup) is already claimable.
     if (Queue.queuedCount() > 0) {
       std::lock_guard<std::mutex> Lock(Mutex);
       WorkHint = true;
       WorkReady.notify_all();
     }
   }
-  if (Queue.durable() || Artifacts)
-    Maintenance = std::thread([this] { maintenanceLoop(); });
+  Maintenance = std::thread([this] { maintenanceLoop(); });
 }
 
 JobExecutor::~JobExecutor() {
@@ -254,8 +253,7 @@ void JobExecutor::workerLoop() {
 }
 
 void JobExecutor::maintenanceLoop() {
-  if (Artifacts)
-    (void)static_cast<bool>(Artifacts->heartbeat());
+  (void)static_cast<bool>(Artifacts.heartbeat());
   const auto Period = std::chrono::duration<double>(
       std::max(0.01, Options.PollSeconds));
   std::unique_lock<std::mutex> Lock(Mutex);
@@ -264,18 +262,14 @@ void JobExecutor::maintenanceLoop() {
     if (Stopping)
       return;
     Lock.unlock();
-    if (Artifacts)
-      (void)static_cast<bool>(Artifacts->heartbeat());
-    if (Queue.durable()) {
-      Queue.poll();
-      Queue.renewLeases();
-      // A peer cancels a running job by writing a marker; the owning
-      // executor is the one that must flip the token.
-      for (const JobRecord &R : Queue.snapshot())
-        if (R.State == JobState::Running && R.Owner == Queue.owner() &&
-            Queue.cancelRequested(R.Id))
-          cancelLocal(R.Id);
-    }
+    (void)static_cast<bool>(Artifacts.heartbeat());
+    Queue.poll();
+    Queue.renewLeases();
+    // A peer cancels a running job by writing a marker; the owning
+    // executor is the one that must flip the token.
+    for (const std::string &Id : Queue.claimedRunning())
+      if (Queue.cancelRequested(Id))
+        cancelLocal(Id);
     Lock.lock();
   }
 }
@@ -313,28 +307,26 @@ void JobExecutor::finishJob(JobRecord &R, ExecState &X, JobState Terminal,
                             std::string Message) {
   // Persist the run artifacts before flipping the state, so a poller
   // that sees "done" can already read them.
-  if (!Options.ArtifactDir.empty()) {
-    const std::string Dir = Options.ArtifactDir + "/" + R.Id;
-    Error TelemetryError = writeFileAtomic(
-        Dir + "/telemetry.jsonl", telemetryJsonl(X.Log.snapshot()));
-    // Artifacts are best-effort: a full disk must not fail the job.
-    (void)static_cast<bool>(TelemetryError);
-    JsonObject Summary;
-    Summary.field("id", R.Id)
-        .field("state", jobStateName(Terminal))
-        .field("message", Message)
-        .field("strategy", R.StrategyName)
-        .field("criterion", R.CriterionName)
-        .field("configs_evaluated", R.ConfigsEvaluated)
-        .field("winner_index", R.WinnerIndex)
-        .field("winner_accuracy", R.WinnerAccuracy, 6)
-        .field("winner_size_fraction", R.WinnerSizeFraction, 6)
-        .field("full_accuracy", R.FullAccuracy, 6)
-        .field("model", R.ModelId);
-    Error SummaryError =
-        writeFileAtomic(Dir + "/result.json", Summary.str() + "\n");
-    (void)static_cast<bool>(SummaryError);
-  }
+  const std::string Dir = Artifacts.artifactsDir() + "/" + R.Id;
+  Error TelemetryError = writeFileAtomic(
+      Dir + "/telemetry.jsonl", telemetryJsonl(X.Log.snapshot()));
+  // Artifacts are best-effort: a full disk must not fail the job.
+  (void)static_cast<bool>(TelemetryError);
+  JsonObject Summary;
+  Summary.field("id", R.Id)
+      .field("state", jobStateName(Terminal))
+      .field("message", Message)
+      .field("strategy", R.StrategyName)
+      .field("criterion", R.CriterionName)
+      .field("configs_evaluated", R.ConfigsEvaluated)
+      .field("winner_index", R.WinnerIndex)
+      .field("winner_accuracy", R.WinnerAccuracy, 6)
+      .field("winner_size_fraction", R.WinnerSizeFraction, 6)
+      .field("full_accuracy", R.FullAccuracy, 6)
+      .field("model", R.ModelId);
+  Error SummaryError =
+      writeFileAtomic(Dir + "/result.json", Summary.str() + "\n");
+  (void)static_cast<bool>(SummaryError);
   Queue.finish(R, Terminal, std::move(Message));
 }
 
@@ -356,9 +348,8 @@ void JobExecutor::runJob(JobRecord &R, const JobSpec &S, ExecState &X) {
   PipeOptions.Schedule = S.Schedule;
   PipeOptions.Workers = S.PipelineWorkers;
   PipeOptions.DistillAlpha = S.DistillAlpha;
-  PipeOptions.CacheDir = Options.CacheDir;
-  PipeOptions.BlockCacheConfig.Directory = Options.BlockCacheDir;
-  PipeOptions.BlockCacheConfig.MaxBytes = Options.BlockCacheMaxBytes;
+  PipeOptions.CacheDir = Artifacts.modelCacheDir();
+  PipeOptions.BlockCacheConfig = Artifacts.blockCacheConfig();
   PipeOptions.CancelObjective =
       S.Schedule == PipelineSchedule::Overlap ? &S.Objective : nullptr;
   PipeOptions.Cancel = &X.Token;
@@ -413,20 +404,18 @@ void JobExecutor::runJob(JobRecord &R, const JobSpec &S, ExecState &X) {
     // compiler's decisions: step list, fusions, arena layout) and
     // served by the registry. The artifact is best-effort like every
     // other; a winner that does not freeze is not served.
-    if ((Registry || !Options.ArtifactDir.empty()) && Winner.Network) {
+    if (Winner.Network) {
       Result<ExecPlan> Frozen = ExecPlan::compile(
           Winner.Network->Network, Winner.Network->InputNode,
           Winner.Network->LogitsNode, S.Spec.InputChannels,
           S.Spec.InputHeight, S.Spec.InputWidth);
       if (Frozen) {
         auto Plan = std::make_shared<const ExecPlan>(Frozen.take());
-        if (!Options.ArtifactDir.empty()) {
-          Error PlanError = writeFileAtomic(
-              Options.ArtifactDir + "/" + R.Id + "/plan.json",
-              Plan->describeJson() + "\n");
-          (void)static_cast<bool>(PlanError);
-          X.Log.bump("serve.jobs.plan_frozen");
-        }
+        Error PlanError = writeFileAtomic(
+            Artifacts.artifactsDir() + "/" + R.Id + "/plan.json",
+            Plan->describeJson() + "\n");
+        (void)static_cast<bool>(PlanError);
+        X.Log.bump("serve.jobs.plan_frozen");
         if (Registry) {
           Error AddError = Registry->add(
               R.Id, std::move(Plan), S.Spec.Layers.back().NumOutput,

@@ -9,10 +9,12 @@
 /// jobs from a JobQueue, re-parse the submission body into a JobSpec,
 /// and run runStrategyExploration (every strategy, the fixed subspace
 /// included) with a per-job RunLog (live counters for GET
-/// /v1/jobs/<id>) and CancelToken. The executor also owns the durable-mode maintenance thread: it polls the
-/// queue for foreign journals, heartbeats claim leases and the artifact
-/// store's process registration, and propagates cancel markers written
-/// by peer processes into local cancel tokens.
+/// /v1/jobs/<id>) and CancelToken. Every job reads and writes the
+/// artifact store's shared tiers (block cache, model cache, per-job
+/// artifacts). The executor also owns the maintenance thread: it polls
+/// the queue for foreign journals, heartbeats claim leases and the
+/// artifact store's process registration, and propagates cancel markers
+/// written by peer processes into local cancel tokens.
 ///
 /// Splitting parse (parseJobSpec) out of JobManager::submit is what
 /// makes a job executable on a process that never saw its submission:
@@ -78,22 +80,14 @@ Result<JobSpec> parseJobSpec(const std::map<std::string, std::string> &Body,
 struct JobExecutorOptions {
   /// Worker threads; must already be resolved to a positive count.
   int Workers = 1;
-  /// Cross-job tuning-block cache directory (empty disables).
-  std::string BlockCacheDir;
-  /// Trained-full-model cache directory (empty disables).
-  std::string CacheDir;
-  /// Per-job artifact root (result.json / telemetry.jsonl / plan.json).
-  std::string ArtifactDir;
-  /// Size cap handed to the tuning-block cache (0 = unlimited).
-  uint64_t BlockCacheMaxBytes = 0;
   /// Default dataset_scale for claim-side re-parsing.
   double DatasetScale = 0.25;
   /// When false, this executor never claims jobs — the daemon is
   /// submit/observe-only and relies on peers to execute (used by tests
   /// to force cross-process execution, and by dedicated frontends).
   bool ExecuteJobs = true;
-  /// Durable-mode maintenance period: queue poll, lease renewal,
-  /// registry heartbeat, cancel-marker propagation.
+  /// Maintenance period: queue poll, lease renewal, registry
+  /// heartbeat, cancel-marker propagation.
   double PollSeconds = 0.25;
 };
 
@@ -102,15 +96,15 @@ struct JobExecutorOptions {
 /// owns the job table.
 class JobExecutor {
 public:
-  /// \p Queue outlives the executor. \p Registry (optional) receives
-  /// winning networks; \p Log (optional) gets serve.jobs.* counters;
-  /// \p Store (optional) resolves uploaded-model references at claim;
-  /// \p Artifacts (optional) gets its registration heartbeat from the
-  /// maintenance thread.
+  /// \p Queue and \p Artifacts outlive the executor; \p Artifacts
+  /// holds the caches and per-job artifacts and gets its registration
+  /// heartbeat from the maintenance thread. \p Registry (optional)
+  /// receives winning networks; \p Log (optional) gets serve.jobs.*
+  /// counters; \p Store (optional) resolves uploaded-model references
+  /// at claim.
   JobExecutor(JobExecutorOptions Options, JobQueue &Queue,
-              ModelRegistry *Registry, RunLog *Log,
-              const ModelStore *Store = nullptr,
-              ArtifactStore *Artifacts = nullptr);
+              ArtifactStore &Artifacts, ModelRegistry *Registry,
+              RunLog *Log, const ModelStore *Store = nullptr);
   ~JobExecutor();
 
   JobExecutor(const JobExecutor &) = delete;
@@ -147,10 +141,10 @@ private:
 
   JobExecutorOptions Options;
   JobQueue &Queue;
+  ArtifactStore &Artifacts;
   ModelRegistry *Registry = nullptr;
   RunLog *Log = nullptr;
   const ModelStore *Store = nullptr;
-  ArtifactStore *Artifacts = nullptr;
 
   mutable std::mutex Mutex;
   std::condition_variable WorkReady;

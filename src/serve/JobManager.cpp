@@ -14,22 +14,23 @@ using namespace wootz::serve;
 
 namespace {
 
-JobQueueOptions queueOptionsFor(const JobManagerOptions &Options) {
+JobQueueOptions queueOptionsFor(const JobManagerOptions &Options,
+                                const ArtifactStore &Artifacts) {
   JobQueueOptions Out;
-  Out.Dir = Options.QueueDir;
+  Out.Dir = Artifacts.jobsDir();
   Out.MaxQueuedJobs = Options.MaxQueuedJobs;
   Out.LeaseSeconds = Options.LeaseSeconds;
-  Out.Owner = Options.Owner;
+  Out.Owner = Artifacts.processName();
   return Out;
 }
 
 } // namespace
 
-JobManager::JobManager(JobManagerOptions Options, ModelRegistry *Registry,
-                       RunLog *Log, const ModelStore *Store,
-                       ArtifactStore *Artifacts)
-    : Options(Options), Log(Log), Store(Store),
-      Queue(queueOptionsFor(Options), Log) {
+JobManager::JobManager(JobManagerOptions Options, ArtifactStore &Artifacts,
+                       ModelRegistry *Registry, RunLog *Log,
+                       const ModelStore *Store)
+    : Options(Options), Registry(Registry), Log(Log), Store(Store),
+      Queue(queueOptionsFor(Options, Artifacts), Log) {
   // Worker validation mirrors the runtime convention: 0 means one
   // executor per hardware thread, negative is a configuration error
   // (reported via optionsError(); construction degrades to one worker
@@ -46,15 +47,11 @@ JobManager::JobManager(JobManagerOptions Options, ModelRegistry *Registry,
 
   JobExecutorOptions ExecOptions;
   ExecOptions.Workers = Workers;
-  ExecOptions.BlockCacheDir = Options.BlockCacheDir;
-  ExecOptions.BlockCacheMaxBytes = Options.BlockCacheMaxBytes;
-  ExecOptions.CacheDir = Options.CacheDir;
-  ExecOptions.ArtifactDir = Options.ArtifactDir;
   ExecOptions.DatasetScale = Options.DatasetScale;
   ExecOptions.ExecuteJobs = Options.ExecuteJobs;
   ExecOptions.PollSeconds = Options.PollSeconds;
-  Executor = std::make_unique<JobExecutor>(ExecOptions, Queue, Registry,
-                                           Log, Store, Artifacts);
+  Executor = std::make_unique<JobExecutor>(ExecOptions, Queue, Artifacts,
+                                           Registry, Log, Store);
 }
 
 JobManager::~JobManager() = default;
@@ -79,7 +76,7 @@ JobManager::submit(const std::map<std::string, std::string> &Body) {
       importanceCriterionName(Parsed->Criterion), Parsed->Subspace.size());
   if (!Id) {
     SubmitOutcome Out;
-    Out.Status = 429;
+    Out.Status = Queue.dir().empty() ? 503 : 429;
     Out.Error = Id.message();
     if (Log)
       Log->bump("serve.jobs.rejected");
@@ -116,8 +113,11 @@ std::string JobManager::jobJson(const JobRecord &R,
         .field("winner_index", R.WinnerIndex)
         .field("winner_accuracy", R.WinnerAccuracy, 6)
         .field("winner_size_fraction", R.WinnerSizeFraction, 6)
-        .field("full_accuracy", R.FullAccuracy, 6)
-        .field("model", R.ModelId);
+        .field("full_accuracy", R.FullAccuracy, 6);
+    // Only a winner this process serves is named: one a peer or an
+    // earlier process registered answers predict with 404 here.
+    if (Registry && !R.ModelId.empty() && Registry->find(R.ModelId))
+      Out.field("model", R.ModelId);
   }
   if (WithCounters) {
     JsonObject Counters;
@@ -157,7 +157,7 @@ std::string JobManager::listJson() const {
 Result<std::string> JobManager::cancel(const std::string &Id) {
   // Flip the local token first (covers jobs this process is running),
   // then mark the queue — which flips still-queued jobs immediately and
-  // leaves a durable marker for a remote owner.
+  // leaves a marker on disk for a remote owner.
   Executor->cancelLocal(Id);
   Result<JobState> After = Queue.requestCancel(Id);
   if (!After)

@@ -7,18 +7,17 @@
 /// \file
 /// The job half of the serve daemon, as the HTTP layer sees it. The
 /// actual machinery lives one layer down — serve/JobQueue.h holds the
-/// (optionally durable, multi-process) job table, serve/JobExecutor.h
-/// the worker threads that claim and run jobs — and JobManager is the
-/// thin facade that keeps the original single-daemon API: submit with
-/// 202/400/429/503 semantics, status/list JSON with live counters,
-/// cancel, drain, and the /metrics gauges.
+/// durable, multi-process job table, serve/JobExecutor.h the worker
+/// threads that claim and run jobs — and JobManager is the thin facade
+/// that keeps the single-daemon API: submit with 202/400/429/503
+/// semantics, status/list JSON with live counters, cancel, drain, and
+/// the /metrics gauges.
 ///
-/// With JobManagerOptions::QueueDir empty the behavior is bit-identical
-/// to the pre-split manager: in-memory FIFO queue, "job-N" ids, same
-/// messages, same JSON. With QueueDir set (normally
-/// ArtifactStore::jobsDir()), jobs are journaled to disk and any daemon
-/// sharing the directory can execute them — a job submitted here may
-/// finish on another process, and vice versa.
+/// Everything lives under one ArtifactStore root: jobs are journaled to
+/// its jobs/ directory under "<process>-job-<N>" ids, and any daemon
+/// given the same root can execute them — a job submitted here may
+/// finish on another process, and vice versa, and a daemon restarted on
+/// the root lists its earlier jobs and resumes the unfinished ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,28 +46,12 @@ struct JobManagerOptions {
   int Workers = 1;
   /// Queued-job cap; submissions beyond it are answered 429.
   size_t MaxQueuedJobs = 8;
-  /// Cross-job tuning-block cache directory (empty disables).
-  std::string BlockCacheDir;
-  /// Size cap for the tuning-block cache (0 = unlimited).
-  uint64_t BlockCacheMaxBytes = 0;
-  /// Trained-full-model cache directory (empty disables).
-  std::string CacheDir;
-  /// When non-empty, each finished job writes telemetry.jsonl and
-  /// result.json under "<ArtifactDir>/<job id>/" (the drain-time
-  /// checkpoint persistence, in addition to the block cache's own
-  /// as-trained publishing).
-  std::string ArtifactDir;
   /// Per-class example multiplier of the synthetic dataset jobs train on.
   double DatasetScale = 0.25;
-  /// Durable job-journal directory; empty keeps the queue in memory
-  /// (the classic single-daemon mode).
-  std::string QueueDir;
-  /// Claim-lease TTL for durable queues.
+  /// Claim-lease TTL.
   double LeaseSeconds = 30.0;
-  /// Durable-mode poll/heartbeat period.
+  /// Poll/heartbeat period.
   double PollSeconds = 0.25;
-  /// Executor identity for durable claims; empty generates one.
-  std::string Owner;
   /// When false this daemon only submits and observes; peers sharing
   /// the queue directory execute.
   bool ExecuteJobs = true;
@@ -84,13 +67,15 @@ struct SubmitOutcome {
 /// Facade over JobQueue + JobExecutor preserving the original API.
 class JobManager {
 public:
+  /// \p Artifacts (which outlives the manager; on an empty root,
+  /// submissions are refused with 503) holds the job journals, caches and per-job artifacts,
+  /// and names this process: its process name owns the claims.
   /// \p Registry (optional) receives winning networks; \p Log (optional)
   /// gets `serve.jobs.*` counters; \p Store (optional) resolves "model"
-  /// values that name uploaded models; \p Artifacts (optional) gets its
-  /// registration heartbeat from the executor's maintenance thread.
-  JobManager(JobManagerOptions Options, ModelRegistry *Registry,
-             RunLog *Log, const ModelStore *Store = nullptr,
-             ArtifactStore *Artifacts = nullptr);
+  /// values that name uploaded models.
+  JobManager(JobManagerOptions Options, ArtifactStore &Artifacts,
+             ModelRegistry *Registry, RunLog *Log,
+             const ModelStore *Store = nullptr);
   ~JobManager();
 
   JobManager(const JobManager &) = delete;
@@ -153,6 +138,7 @@ private:
   std::string jobJson(const JobRecord &R, bool WithCounters) const;
 
   JobManagerOptions Options;
+  ModelRegistry *Registry = nullptr;
   RunLog *Log = nullptr;
   const ModelStore *Store = nullptr;
   std::string OptionsError;

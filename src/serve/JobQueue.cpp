@@ -79,11 +79,9 @@ JobQueue::JobQueue(JobQueueOptions Options, RunLog *Log)
     this->Options.Owner = "exec-" + std::to_string(::getpid()) + "-" +
                           std::to_string(Serial.fetch_add(1));
   }
-  if (durable()) {
-    std::error_code Ignored;
-    fs::create_directories(this->Options.Dir, Ignored);
-    poll(); // Pick up journals left by earlier or concurrent processes.
-  }
+  std::error_code Ignored;
+  fs::create_directories(this->Options.Dir, Ignored);
+  poll(); // Pick up journals left by earlier or concurrent processes.
 }
 
 void JobQueue::setNotifier(std::function<void()> Fn) {
@@ -153,14 +151,12 @@ std::string JobQueue::stateLineLocked(const Entry &E) const {
 
 void JobQueue::appendJournalLocked(Entry &E, const std::string &Line) {
   E.Journal.push_back(Line);
-  if (!durable())
-    return;
   std::string Text;
   for (const std::string &L : E.Journal)
     Text += L + "\n";
   // Whole-file atomic rewrite: a concurrent reader sees a complete
   // journal at some prefix of history, never a torn line. Best-effort —
-  // an unwritable disk degrades this queue to in-memory behavior.
+  // on an unwritable disk the job lives on in this process only.
   if (writeFileAtomic(journalPath(E.Record.Id), Text) && Log)
     Log->bump("serve.jobs.journal_write_failed");
 }
@@ -228,16 +224,21 @@ Result<std::string> JobQueue::submit(
     std::map<std::string, std::string> Body, std::string ModelName,
     std::string StrategyName, std::string CriterionName,
     size_t SubspaceConfigs) {
+  if (Options.Dir.empty())
+    return Error::failure("the job queue has no directory");
   std::unique_lock<std::mutex> Guard(Mutex);
   if (queuedCountLocked() >= Options.MaxQueuedJobs)
     return Error::failure("job queue is full (" +
                           std::to_string(Options.MaxQueuedJobs) +
                           " queued)");
-  // Plain "job-N" matches the old single-daemon ids; durable queues
-  // prefix the owner so ids from concurrent submitters cannot collide.
-  std::string Id = durable()
-                       ? Options.Owner + "-job-" + std::to_string(NextId++)
-                       : "job-" + std::to_string(NextId++);
+  // The owner prefix keeps ids from concurrent submitters apart; the
+  // skip keeps a restarted owner (a stable --shard name) from reusing
+  // the ids of its earlier life, whose journals are still here.
+  std::string Id;
+  std::error_code Ignored;
+  do
+    Id = Options.Owner + "-job-" + std::to_string(NextId++);
+  while (Jobs.count(Id) || fs::exists(journalPath(Id), Ignored));
   auto E = std::make_unique<Entry>();
   E->Record.Id = Id;
   E->Record.Body = std::move(Body);
@@ -263,16 +264,15 @@ std::optional<JobRecord> JobQueue::claim() {
     Entry *E = Jobs[Id].get();
     if (E->Record.State != JobState::Queued)
       continue;
-    if (durable()) {
-      Result<bool> Acquired = tryAcquireLease(
-          leasePath(Id), Options.Owner,
-          static_cast<int64_t>(Options.LeaseSeconds * 1e3));
-      if (!Acquired || !*Acquired)
-        continue; // Another process claimed it; poll() will catch up.
-    }
+    Result<bool> Acquired = tryAcquireLease(
+        leasePath(Id), Options.Owner,
+        static_cast<int64_t>(Options.LeaseSeconds * 1e3));
+    if (!Acquired || !*Acquired)
+      continue; // Another process claimed it; poll() will catch up.
     E->Record.State = JobState::Running;
     E->Record.Owner = Options.Owner;
     E->Record.StartAt = Clock.now();
+    E->ClaimedHere = true;
     appendJournalLocked(*E, stateLineLocked(*E));
     if (Log)
       Log->bump("serve.jobs.claimed");
@@ -281,18 +281,18 @@ std::optional<JobRecord> JobQueue::claim() {
   return std::nullopt;
 }
 
-void JobQueue::renewLeases() {
-  if (!durable())
-    return;
+std::vector<std::string> JobQueue::claimedRunning() const {
+  std::lock_guard<std::mutex> Guard(Mutex);
   std::vector<std::string> Mine;
-  {
-    std::lock_guard<std::mutex> Guard(Mutex);
-    for (const auto &KV : Jobs)
-      if (KV.second->Record.State == JobState::Running &&
-          KV.second->Record.Owner == Options.Owner)
-        Mine.push_back(KV.first);
-  }
-  for (const std::string &Id : Mine)
+  for (const auto &KV : Jobs)
+    if (KV.second->Record.State == JobState::Running &&
+        KV.second->ClaimedHere)
+      Mine.push_back(KV.first);
+  return Mine;
+}
+
+void JobQueue::renewLeases() {
+  for (const std::string &Id : claimedRunning())
     if (renewLease(leasePath(Id), Options.Owner,
                    static_cast<int64_t>(Options.LeaseSeconds * 1e3)) &&
         Log)
@@ -322,13 +322,12 @@ void JobQueue::finish(const JobRecord &R, JobState Terminal,
     E.Record.State = Terminal;
     E.Record.Message = std::move(Message);
     E.Record.EndAt = Clock.now();
+    E.ClaimedHere = false;
     appendJournalLocked(E, stateLineLocked(E));
   }
-  if (durable()) {
-    releaseLease(leasePath(R.Id), Options.Owner);
-    std::error_code Ignored;
-    fs::remove(cancelPath(R.Id), Ignored);
-  }
+  releaseLease(leasePath(R.Id), Options.Owner);
+  std::error_code Ignored;
+  fs::remove(cancelPath(R.Id), Ignored);
   if (Log)
     Log->bump(Terminal == JobState::Done
                   ? "serve.jobs.completed"
@@ -357,7 +356,7 @@ Result<JobState> JobQueue::requestCancel(const std::string &Id) {
     } else if (E.Record.State == JobState::Running) {
       // The owning executor observes the marker (or, in-process, is
       // told directly by the facade) and stops at the next check.
-      Marker = durable();
+      Marker = true;
     }
     After = E.Record.State;
   }
@@ -367,15 +366,11 @@ Result<JobState> JobQueue::requestCancel(const std::string &Id) {
 }
 
 bool JobQueue::cancelRequested(const std::string &Id) const {
-  if (!durable())
-    return false;
   std::error_code Ignored;
   return fs::exists(cancelPath(Id), Ignored);
 }
 
 bool JobQueue::poll() {
-  if (!durable())
-    return false;
   bool Claimable = false;
   std::error_code FsError;
   std::vector<std::string> Ids;
@@ -389,14 +384,27 @@ bool JobQueue::poll() {
   }
   std::sort(Ids.begin(), Ids.end());
 
+  // Journal records carry wall-clock stamps; project them onto this
+  // queue's clock from one anchor, so an observer reports the job's
+  // real timings (a peer-run job that finished in 0.1s must not read as
+  // "seconds": <importer uptime>, nor an earlier process's job as 0).
+  // Stamps ahead of this process's clock (skew) read as now.
+  const double AnchorNow = Clock.now();
+  const int64_t AnchorUnixMs = unixMillisNow();
+  const auto ToLocal = [&](int64_t UnixMs) {
+    return AnchorNow -
+           std::max<double>(0.0, static_cast<double>(AnchorUnixMs - UnixMs) /
+                                     1e3);
+  };
+
   std::unique_lock<std::mutex> Guard(Mutex);
   for (const std::string &Id : Ids) {
     auto It = Jobs.find(Id);
     const bool Known = It != Jobs.end();
     if (Known) {
       Entry &E = *It->second;
-      // Nothing to refresh for jobs we own or that already finished.
-      if (E.Record.terminal() || E.Record.Owner == Options.Owner)
+      // Nothing to refresh for jobs we run or that already finished.
+      if (E.Record.terminal() || E.ClaimedHere)
         continue;
     }
     Result<std::string> Text = readFile(journalPath(Id));
@@ -408,15 +416,7 @@ bool JobQueue::poll() {
         Log->bump("serve.jobs.journal_corrupt");
       continue;
     }
-    // Journal records carry wall-clock stamps; project them onto this
-    // queue's clock so an observer reports the job's real timings (a
-    // peer-run job that finished in 0.1s must not read as "seconds":
-    // <importer uptime>). Missing stamps fall back to import time.
-    const auto ToLocal = [this](int64_t UnixMs) {
-      const double Ago =
-          static_cast<double>(unixMillisNow() - UnixMs) / 1e3;
-      return std::max(0.0, Clock.now() - std::max(0.0, Ago));
-    };
+    // Missing stamps fall back to import time.
     if (!Known) {
       auto E = std::make_unique<Entry>();
       E->Record = *Parsed;
@@ -489,11 +489,11 @@ bool JobQueue::poll() {
       }
       continue;
     }
-    if (E.Record.State != JobState::Running ||
-        E.Record.Owner == Options.Owner)
+    if (E.Record.State != JobState::Running || E.ClaimedHere)
       continue;
-    // Running under another owner: reclaim when its lease has expired —
-    // the owner stopped heartbeating a full TTL ago, so it is dead.
+    // Running under another queue — a peer, or an earlier process with
+    // this owner name: reclaim when its lease has expired — the owner
+    // stopped heartbeating a full TTL ago, so it is dead.
     Result<LeaseInfo> Held = readLease(leasePath(Id));
     if (Held && !Held->expired(unixMillisNow()))
       continue;

@@ -8,21 +8,18 @@
 /// The queueing half of the serve job path, split out of JobManager so a
 /// job can run on any process that can see the store. A JobQueue is a
 /// table of JobRecords — the validated submission body plus the job's
-/// life-cycle state and result summary — with two backing modes:
-///
-///  - In-memory (Options.Dir empty): exactly the old single-daemon
-///    behavior. Submissions queue FIFO, one process claims and runs.
-///
-///  - Durable (Options.Dir set, normally ArtifactStore::jobsDir()): every
-///    job also lives on disk as an atomic-rename JSONL *journal*
-///    ("<id>.jsonl": one spec record, then one record per state
-///    transition), an *owner lease* ("<id>.lease", see support/Lease.h)
-///    acquired by the claiming executor and renewed by heartbeat, and an
-///    optional *cancel marker* ("<id>.cancel"). Any process sharing the
-///    directory can submit, claim, observe, or cancel; a claim is
-///    exclusive via the lease, and a job whose owner died (journal says
-///    running, lease expired) is reclaimed back to queued by whichever
-///    live process polls it first.
+/// life-cycle state and result summary — backed by one directory
+/// (normally ArtifactStore::jobsDir()). Every job lives on disk as an
+/// atomic-rename JSONL *journal* ("<id>.jsonl": one spec record, then one
+/// record per state transition), an *owner lease* ("<id>.lease", see
+/// support/Lease.h) acquired by the claiming executor and renewed by
+/// heartbeat, and an optional *cancel marker* ("<id>.cancel"). Any
+/// process sharing the directory can submit, claim, observe, or cancel;
+/// a claim is exclusive via the lease, and a job whose owner died
+/// (journal says running, lease expired) is reclaimed back to queued by
+/// whichever live process polls it first. A queue opened on a directory
+/// that already holds journals — a restarted daemon — lists those jobs
+/// and resumes or reclaims the unfinished ones.
 ///
 /// The queue holds no execution state — no threads, tokens, or RunLogs;
 /// that is serve/JobExecutor.h. It is the single source of truth for
@@ -57,7 +54,7 @@ const char *jobStateName(JobState State);
 
 /// Queue knobs.
 struct JobQueueOptions {
-  /// Journal directory (durable mode); empty keeps the queue in memory.
+  /// Journal directory (required: submit() refuses when empty).
   std::string Dir;
   /// Queued-job cap; submissions beyond it fail (the facade's 429).
   size_t MaxQueuedJobs = 8;
@@ -84,6 +81,8 @@ struct JobRecord {
   int Reclaims = 0;   ///< Times the job was reclaimed from a dead owner.
 
   // Queue-clock seconds (JobQueue::now()), matching the old JSON shape.
+  // Negative for events before this queue's clock started (jobs an
+  // earlier process ran).
   double SubmitAt = 0.0, StartAt = 0.0, EndAt = 0.0;
 
   // Wall-clock stamps recovered from the journal (0 = not recorded).
@@ -113,8 +112,8 @@ struct JobRecord {
   }
 };
 
-/// The job table. Thread-safe; in durable mode also multi-process-safe
-/// (atomic journal writes, lease-gated claims).
+/// The job table. Thread-safe and multi-process-safe (atomic journal
+/// writes, lease-gated claims).
 class JobQueue {
 public:
   explicit JobQueue(JobQueueOptions Options, RunLog *Log = nullptr);
@@ -122,7 +121,6 @@ public:
   JobQueue(const JobQueue &) = delete;
   JobQueue &operator=(const JobQueue &) = delete;
 
-  bool durable() const { return !Options.Dir.empty(); }
   const std::string &owner() const { return Options.Owner; }
   const std::string &dir() const { return Options.Dir; }
   double leaseMillis() const { return Options.LeaseSeconds * 1e3; }
@@ -134,9 +132,12 @@ public:
   /// claimable — the executor parks its workers on this.
   void setNotifier(std::function<void()> Fn);
 
-  /// Admits one validated job. Fails when the queued count is at the
-  /// cap ("job queue is full ..."). \p ModelName / \p StrategyName /
-  /// \p CriterionName / \p SubspaceConfigs fill the listing surface.
+  /// Admits one validated job under the id "<owner>-job-<N>", skipping
+  /// ids a journal in the directory already uses. Fails when the queued
+  /// count is at the cap ("job queue is full ...") or the queue has no
+  /// directory. \p ModelName /
+  /// \p StrategyName / \p CriterionName / \p SubspaceConfigs fill the
+  /// listing surface.
   Result<std::string> submit(std::map<std::string, std::string> Body,
                              std::string ModelName,
                              std::string StrategyName,
@@ -144,11 +145,14 @@ public:
                              size_t SubspaceConfigs);
 
   /// Claims the oldest claimable job: flips it Queued -> Running under
-  /// this queue's owner (acquiring the on-disk lease in durable mode)
+  /// this queue's owner (acquiring the on-disk lease)
   /// and returns a copy for execution. nullopt when nothing claimable.
   std::optional<JobRecord> claim();
 
-  /// Renews the lease of every job this owner is running (heartbeat).
+  /// Ids of the running jobs this queue instance claimed.
+  std::vector<std::string> claimedRunning() const;
+
+  /// Renews the lease of every claimedRunning() job (heartbeat).
   void renewLeases();
 
   /// Terminal transition for a job this owner ran. \p R carries the
@@ -157,19 +161,20 @@ public:
   void finish(const JobRecord &R, JobState Terminal, std::string Message);
 
   /// Cancels \p Id: a still-queued job terminates immediately; a
-  /// running one gets a durable cancel marker (its executor observes it
-  /// via cancelRequested() — in-process executors are told directly by
-  /// the facade). Returns the post-request state.
+  /// running one gets a cancel marker (its executor observes it via
+  /// cancelRequested() — in-process executors are told directly by the
+  /// facade). Returns the post-request state.
   Result<JobState> requestCancel(const std::string &Id);
 
-  /// True when a durable cancel marker exists for \p Id.
+  /// True when a cancel marker exists for \p Id.
   bool cancelRequested(const std::string &Id) const;
 
-  /// Durable-mode maintenance (the executor's poll thread): imports
+  /// Maintenance (the executor's poll thread): imports
   /// journals other processes wrote, refreshes the state of jobs other
-  /// owners are running, applies cancel markers to queued jobs, and
-  /// reclaims running jobs whose lease expired. Returns true when new
-  /// work became claimable.
+  /// queues are running, applies cancel markers to queued jobs, and
+  /// reclaims running jobs whose lease expired — including ones an
+  /// earlier process with this queue's owner name left behind. Returns
+  /// true when new work became claimable.
   bool poll();
 
   // Introspection (copies, submission-/discovery-ordered).
@@ -185,14 +190,18 @@ private:
   struct Entry {
     JobRecord Record;
     std::vector<std::string> Journal; ///< Rendered JSONL lines.
+    /// Claimed by this queue instance (not merely by its owner name: a
+    /// restarted daemon with a stable name imports its dead earlier
+    /// life's running jobs, which it must reclaim, not heartbeat).
+    bool ClaimedHere = false;
   };
 
   std::string journalPath(const std::string &Id) const;
   std::string leasePath(const std::string &Id) const;
   std::string cancelPath(const std::string &Id) const;
   /// Appends \p Line to the entry's journal and atomically rewrites the
-  /// file (durable mode only). Best-effort: a full disk degrades to an
-  /// in-memory queue, never a crash.
+  /// file. Best-effort: on a full disk the entry lives on in memory
+  /// only, never a crash.
   void appendJournalLocked(Entry &E, const std::string &Line);
   std::string specLineLocked(const Entry &E) const;
   std::string stateLineLocked(const Entry &E) const;

@@ -15,9 +15,10 @@
 using namespace wootz;
 using namespace wootz::serve;
 
-ModelStore::ModelStore(ModelStoreOptions Options, ModelRegistry *Registry,
-                       RunLog *Log)
-    : Options(std::move(Options)), Registry(Registry), Log(Log) {}
+ModelStore::ModelStore(std::string Dir, ModelStoreOptions Options,
+                       ModelRegistry *Registry, RunLog *Log)
+    : Dir(std::move(Dir)), Options(std::move(Options)), Registry(Registry),
+      Log(Log) {}
 
 /// Uploaded ids become directory names and URL path segments, so only a
 /// conservative charset is allowed — this is also what rules out path
@@ -40,7 +41,7 @@ UploadOutcome ModelStore::reject(int Status, std::string Message) {
 }
 
 std::string ModelStore::modelDir(const std::string &Id) const {
-  return Options.Dir + "/" + Id;
+  return Dir + "/" + Id;
 }
 
 UploadOutcome
@@ -57,6 +58,8 @@ ModelStore::upload(const std::map<std::string, std::string> &Body) {
 
 UploadOutcome
 ModelStore::uploadChecked(const std::map<std::string, std::string> &Body) {
+  if (Dir.empty())
+    return reject(503, "the model store has no directory");
   auto ModelIt = Body.find("model");
   if (ModelIt == Body.end())
     return reject(400, "missing required field 'model' (Prototxt text)");
@@ -106,16 +109,11 @@ ModelStore::uploadChecked(const std::map<std::string, std::string> &Body) {
       do
         Id = "model-" + std::to_string(NextId++);
       while (Known.count(Id) ||
-             (!Options.Dir.empty() &&
-              std::filesystem::exists(modelDir(Id), FsError)));
+             std::filesystem::exists(modelDir(Id), FsError));
     }
-    if (Known.count(Id))
+    std::error_code FsError;
+    if (Known.count(Id) || std::filesystem::exists(modelDir(Id), FsError))
       return reject(409, "model id '" + Id + "' is already uploaded");
-    if (!Options.Dir.empty()) {
-      std::error_code FsError;
-      if (std::filesystem::exists(modelDir(Id), FsError))
-        return reject(409, "model id '" + Id + "' is already uploaded");
-    }
   }
   // The registry also holds job winners and preloads; their ids are taken
   // too (answered before the expensive build below).
@@ -150,19 +148,15 @@ UploadOutcome ModelStore::ingest(const std::string &Id,
 
   // Persist before registering: the bundle always comes from the built
   // network, so random-initialized uploads restore bit-identically too.
-  if (!Options.Dir.empty()) {
-    const std::string Bytes =
-        serializeTensors(exportWeights(Built->Network, FullNetworkPrefix));
-    Error Write = writeFileAtomic(modelDir(Id) + "/model.prototxt",
-                                  Prototxt);
-    if (!Write)
-      Write = writeFileAtomic(modelDir(Id) + "/weights.ck", Bytes);
-    if (Write) {
-      if (Log)
-        Log->bump("serve.models.persist_failed");
-      return reject(500, "persisting model '" + Id +
-                             "': " + Write.message());
-    }
+  const std::string Bytes =
+      serializeTensors(exportWeights(Built->Network, FullNetworkPrefix));
+  Error Write = writeFileAtomic(modelDir(Id) + "/model.prototxt", Prototxt);
+  if (!Write)
+    Write = writeFileAtomic(modelDir(Id) + "/weights.ck", Bytes);
+  if (Write) {
+    if (Log)
+      Log->bump("serve.models.persist_failed");
+    return reject(500, "persisting model '" + Id + "': " + Write.message());
   }
 
   auto Network = std::make_shared<AssembledNetwork>();
@@ -196,10 +190,8 @@ Error ModelStore::remove(const std::string &Id) {
     Known.erase(It);
   }
   Error Removed = Registry ? Registry->remove(Id) : Error::success();
-  if (!Options.Dir.empty()) {
-    std::error_code FsError;
-    std::filesystem::remove_all(modelDir(Id), FsError);
-  }
+  std::error_code FsError;
+  std::filesystem::remove_all(modelDir(Id), FsError);
   if (Log)
     Log->bump("serve.models.deleted");
   return Removed;
@@ -214,7 +206,7 @@ Result<std::string> ModelStore::prototxtFor(const std::string &Id) const {
   }
   // Shared-store fallback: a peer daemon may have persisted the model.
   // Read-only — registration (if wanted) is tryRestore()'s job.
-  if (!Options.Dir.empty() && isValidModelId(Id)) {
+  if (isValidModelId(Id)) {
     Result<std::string> Text = readFile(modelDir(Id) + "/model.prototxt");
     if (Text)
       return Text.take();
@@ -233,16 +225,11 @@ size_t ModelStore::count() const {
 }
 
 size_t ModelStore::loadFromDisk(const ArtifactStore *Placement) {
-  if (Options.Dir.empty())
-    return 0;
-  std::error_code FsError;
-  if (!std::filesystem::is_directory(Options.Dir, FsError))
-    return 0;
-
   // Deterministic registration order (directory iteration order is not).
+  std::error_code FsError;
   std::vector<std::string> Ids;
   for (const auto &Entry :
-       std::filesystem::directory_iterator(Options.Dir, FsError)) {
+       std::filesystem::directory_iterator(Dir, FsError)) {
     if (!Entry.is_directory())
       continue;
     const std::string Id = Entry.path().filename().string();
@@ -258,8 +245,7 @@ size_t ModelStore::loadFromDisk(const ArtifactStore *Placement) {
     // assigns to it; everything else loads lazily on first use. Any
     // single daemon — or one whose peers all died — still owns every
     // key, so nothing is ever unreachable.
-    if (Placement && Placement->enabled() &&
-        !Placement->ownsLocally("model/" + Id)) {
+    if (Placement && !Placement->ownsLocally("model/" + Id)) {
       if (Log)
         Log->bump("serve.models.restore_deferred");
       continue;
@@ -286,7 +272,7 @@ size_t ModelStore::loadFromDisk(const ArtifactStore *Placement) {
 }
 
 bool ModelStore::tryRestore(const std::string &Id) {
-  if (Options.Dir.empty() || !isValidModelId(Id))
+  if (!isValidModelId(Id))
     return false;
   {
     std::lock_guard<std::mutex> Lock(Mutex);

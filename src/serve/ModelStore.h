@@ -40,8 +40,6 @@ class ArtifactStore;
 /// Ingestion knobs. The byte caps are per-field application-level limits
 /// under the transport-level HttpLimits::MaxBodyBytes.
 struct ModelStoreOptions {
-  /// Persistence root; empty keeps uploads in memory only.
-  std::string Dir;
   /// Largest accepted Prototxt, in bytes.
   size_t MaxPrototxtBytes = 256 * 1024;
   /// Largest accepted *decoded* weight bundle, in bytes.
@@ -60,10 +58,11 @@ struct UploadOutcome {
 /// Uploaded-model table: validation, registration, persistence.
 class ModelStore {
 public:
-  /// \p Registry receives validated models; \p Log (optional) gets
-  /// `serve.models.upload*` counters.
-  ModelStore(ModelStoreOptions Options, ModelRegistry *Registry,
-             RunLog *Log);
+  /// \p Dir is the persistence directory (ArtifactStore::modelsDir() in
+  /// the daemon; uploads answer 503 when it is empty); \p Registry receives validated models; \p Log
+  /// (optional) gets `serve.models.upload*` counters.
+  ModelStore(std::string Dir, ModelStoreOptions Options,
+             ModelRegistry *Registry, RunLog *Log);
 
   ModelStore(const ModelStore &) = delete;
   ModelStore &operator=(const ModelStore &) = delete;
@@ -91,7 +90,7 @@ public:
   /// Number of uploaded models currently stored.
   size_t count() const;
 
-  /// Scans Options.Dir and re-registers every persisted model (server
+  /// Scans the directory and re-registers every persisted model (server
   /// restart). Returns how many came back; corrupt entries are skipped
   /// with a `serve.models.restore_failed` bump, never a crash. With
   /// \p Placement, only models this process places (rendezvous hash
@@ -120,6 +119,7 @@ private:
   UploadOutcome reject(int Status, std::string Message);
   std::string modelDir(const std::string &Id) const;
 
+  std::string Dir;
   ModelStoreOptions Options;
   ModelRegistry *Registry = nullptr;
   RunLog *Log = nullptr;

@@ -12,45 +12,11 @@
 using namespace wootz;
 using namespace wootz::serve;
 
-/// With a shared artifact tier configured, the rooted layout overrides
-/// the per-daemon directory knobs so every daemon pointed at the root
-/// reads and writes the same state.
-static ModelStoreOptions resolvedUploads(const ServerOptions &Options,
-                                         const ArtifactStore &Artifacts) {
-  ModelStoreOptions Out = Options.Uploads;
-  if (Artifacts.enabled())
-    Out.Dir = Artifacts.modelsDir();
-  return Out;
-}
-
-static JobManagerOptions resolvedJobs(const ServerOptions &Options,
-                                      const ArtifactStore &Artifacts) {
-  JobManagerOptions Out = Options.Jobs;
-  if (Artifacts.enabled()) {
-    const CacheConfig Blocks = Artifacts.blockCacheConfig();
-    Out.BlockCacheDir = Blocks.Directory;
-    Out.BlockCacheMaxBytes = Blocks.MaxBytes;
-    Out.CacheDir = Artifacts.modelCacheDir();
-    Out.ArtifactDir = Artifacts.artifactsDir();
-    Out.QueueDir = Artifacts.jobsDir();
-    Out.Owner = Artifacts.processName();
-  }
-  return Out;
-}
-
 WootzServer::WootzServer(ServerOptions Options)
     : Options(Options), Artifacts(Options.Artifacts, &Log),
       Registry(Options.Batching, &Log, &PredictLatency),
-      Store(resolvedUploads(Options, Artifacts), &Registry, &Log),
-      Jobs(resolvedJobs(Options, Artifacts), &Registry, &Log, &Store,
-           &Artifacts) {
-  // Register with the shared tier before restoring models, so placement
-  // (which daemons eagerly restore which models) sees this process.
-  if (Artifacts.enabled())
-    (void)static_cast<bool>(Artifacts.heartbeat());
-  // Re-register persisted uploads before the listener exists: a client
-  // that connects never sees a partially restored model list.
-  Store.loadFromDisk(Artifacts.enabled() ? &Artifacts : nullptr);
+      Store(Artifacts.modelsDir(), Options.Uploads, &Registry, &Log),
+      Jobs(Options.Jobs, Artifacts, &Registry, &Log, &Store) {
   buildRoutes();
   Http = std::make_unique<HttpServer>(
       Options.Http,
@@ -63,8 +29,16 @@ WootzServer::~WootzServer() { drain(); }
 Error WootzServer::start() {
   // Option validation surfaces here rather than aborting the ctor, so a
   // misconfigured daemon fails its launch with a message, not a crash.
+  if (Error E = Artifacts.rootError())
+    return E;
   if (!Jobs.optionsError().empty())
     return Error::failure(Jobs.optionsError());
+  // Register with the shared tier before restoring models, so placement
+  // (which daemons eagerly restore which models) sees this process.
+  (void)static_cast<bool>(Artifacts.heartbeat());
+  // Re-register persisted uploads before the listener exists: a client
+  // that connects never sees a partially restored model list.
+  Store.loadFromDisk(&Artifacts);
   return Http->start();
 }
 
@@ -384,31 +358,28 @@ std::string WootzServer::metricsText() const {
                             GaugeType);
   // Shared artifact tier: how much each directory holds and how many
   // daemons are currently registered against the root.
-  if (Artifacts.enabled()) {
-    bool EntriesType = false, BytesType = false;
-    for (const auto &[Tier, Dir] :
-         {std::pair<const char *, std::string>{"block_cache",
-                                               Artifacts.blockCacheDir()},
-          std::pair<const char *, std::string>{"cache",
-                                               Artifacts.modelCacheDir()},
-          std::pair<const char *, std::string>{"models",
-                                               Artifacts.modelsDir()}}) {
-      const ArtifactUsage Usage = ArtifactStore::usage(Dir);
-      const std::string Labels =
-          "tier=\"" + std::string(Tier) + "\"";
-      Out += prometheusSample("wootz_artifact_entries", Labels,
-                              static_cast<double>(Usage.Entries), "gauge",
-                              EntriesType);
-      Out += prometheusSample("wootz_artifact_bytes", Labels,
-                              static_cast<double>(Usage.Bytes), "gauge",
-                              BytesType);
-    }
-    GaugeType = false;
-    Out += prometheusSample(
-        "wootz_artifact_processes", "",
-        static_cast<double>(Artifacts.activeProcesses().size()), "gauge",
-        GaugeType);
+  bool EntriesType = false, BytesType = false;
+  for (const auto &[Tier, Dir] :
+       {std::pair<const char *, std::string>{"block_cache",
+                                             Artifacts.blockCacheDir()},
+        std::pair<const char *, std::string>{"cache",
+                                             Artifacts.modelCacheDir()},
+        std::pair<const char *, std::string>{"models",
+                                             Artifacts.modelsDir()}}) {
+    const ArtifactUsage Usage = ArtifactStore::usage(Dir);
+    const std::string Labels = "tier=\"" + std::string(Tier) + "\"";
+    Out += prometheusSample("wootz_artifact_entries", Labels,
+                            static_cast<double>(Usage.Entries), "gauge",
+                            EntriesType);
+    Out += prometheusSample("wootz_artifact_bytes", Labels,
+                            static_cast<double>(Usage.Bytes), "gauge",
+                            BytesType);
   }
+  GaugeType = false;
+  Out += prometheusSample(
+      "wootz_artifact_processes", "",
+      static_cast<double>(Artifacts.activeProcesses().size()), "gauge",
+      GaugeType);
 
   // Latency histograms plus interpolated p50/p99 convenience gauges.
   Out += RequestLatency.prometheus("wootz_request_latency_seconds", "");

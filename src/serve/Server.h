@@ -24,6 +24,11 @@
 /// requests -> finish accepted jobs -> stop batchers) that the SIGTERM
 /// handler triggers.
 ///
+/// Every daemon runs on one ArtifactStore root: uploads, caches, job
+/// journals and per-job artifacts all live under it, so a daemon
+/// restarted on its root picks up where it left off, and several
+/// daemons given the same root form one fleet.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WOOTZ_SERVE_SERVER_H
@@ -47,10 +52,9 @@ struct ServerOptions {
   JobManagerOptions Jobs;
   BatcherOptions Batching;
   ModelStoreOptions Uploads;
-  /// Shared multi-process tier. When Artifacts.Root is set it overrides
-  /// the per-daemon directory options: uploads, caches, job journals
-  /// and artifacts all live under the one root, and any daemon pointed
-  /// at it serves the same models and executes the same job queue.
+  /// The state root (required; start() refuses an empty one). Any
+  /// daemon pointed at the same root serves the same models and
+  /// executes the same job queue.
   ArtifactStoreOptions Artifacts;
 };
 
@@ -63,7 +67,9 @@ public:
   WootzServer(const WootzServer &) = delete;
   WootzServer &operator=(const WootzServer &) = delete;
 
-  /// Binds and starts serving.
+  /// Registers with the artifact root, restores persisted uploads, then
+  /// binds and starts serving. Fails with a message on an empty root or
+  /// invalid job options.
   Error start();
 
   /// The bound port (useful with Options.Http.Port = 0).
@@ -74,10 +80,12 @@ public:
   /// prediction batchers. Idempotent; safe from a signal-watcher thread.
   void drain();
 
-  /// The /metrics payload (also available without HTTP, for tools).
+  /// The /metrics payload (also available without HTTP, for tools; needs
+  /// a non-empty root, like jobs()).
   std::string metricsText() const;
 
-  // Direct access for tests and for preloading models.
+  // Direct access for tests and for preloading models. jobs() needs a
+  // non-empty root.
   JobManager &jobs() { return Jobs; }
   ModelRegistry &models() { return Registry; }
   ModelStore &uploads() { return Store; }

@@ -5,9 +5,10 @@
 // with its process registry and rendezvous placement, the durable
 // JobQueue (cross-queue visibility, exclusive claims, cancel markers,
 // reclaim after lease expiry), worker-count validation on the facade,
-// crash recovery with a warm block cache, and two full daemons sharing
+// crash recovery with a warm block cache, two full daemons sharing
 // one artifact root end to end (upload-on-A/predict-on-B, submit-on-A/
-// execute-on-B, and block reuse across jobs regardless of process).
+// execute-on-B, and block reuse across jobs regardless of process), and
+// one daemon restarted on its own root.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +56,15 @@ public:
 private:
   std::string Path;
 };
+
+/// Artifact-store options rooted at \p Scratch under process \p Name.
+ArtifactStoreOptions rootAt(const ScratchDir &Scratch,
+                            const std::string &Name = "") {
+  ArtifactStoreOptions Options;
+  Options.Root = Scratch.str();
+  Options.ProcessName = Name;
+  return Options;
+}
 
 /// Sends \p Raw to 127.0.0.1:\p Port and reads until the server closes.
 Result<std::string> rawRequest(int Port, const std::string &Raw) {
@@ -261,17 +271,9 @@ TEST(LeaseTest, ExpiredLeaseCanBeStolen) {
 TEST(ArtifactStoreTest, LayoutHeartbeatAndUsage) {
   ScratchDir Scratch("wootz_artifact_store");
 
-  // Disabled store: every path empty, everything owned locally.
-  ArtifactStore Disabled;
-  EXPECT_FALSE(Disabled.enabled());
-  EXPECT_EQ(Disabled.blockCacheDir(), "");
-  EXPECT_TRUE(Disabled.ownsLocally("model/x"));
-
-  ArtifactStoreOptions Options;
-  Options.Root = Scratch.str();
-  Options.ProcessName = "proc-a";
-  ArtifactStore Store(Options);
-  EXPECT_TRUE(Store.enabled());
+  ArtifactStore Store(rootAt(Scratch, "proc-a"));
+  // Unregistered, the process owns everything locally.
+  EXPECT_TRUE(Store.ownsLocally("model/x"));
   EXPECT_EQ(Store.blockCacheDir(), Scratch.str() + "/block_cache");
   EXPECT_EQ(Store.modelCacheDir(), Scratch.str() + "/cache");
   EXPECT_EQ(Store.jobsDir(), Scratch.str() + "/jobs");
@@ -469,15 +471,18 @@ TEST(JobQueueTest, ExpiredLeaseIsReclaimedByALiveQueue) {
 //===----------------------------------------------------------------------===//
 
 TEST(JobManagerOptionsTest, NegativeWorkersIsRejected) {
+  ScratchDir Scratch("wootz_jobs_negative_workers");
+  ArtifactStore Artifacts(rootAt(Scratch));
   JobManagerOptions Options;
   Options.Workers = -1;
-  JobManager Manager(Options, nullptr, nullptr);
+  JobManager Manager(Options, Artifacts, nullptr, nullptr);
   EXPECT_EQ(Manager.optionsError(),
             "JobManagerOptions::Workers must be non-negative "
             "(0 means one worker per hardware thread)");
 
   // The server surfaces the error at start() instead of listening.
   ServerOptions Server;
+  Server.Artifacts = rootAt(Scratch);
   Server.Jobs.Workers = -2;
   WootzServer Daemon(Server);
   Error Started = Daemon.start();
@@ -487,84 +492,141 @@ TEST(JobManagerOptionsTest, NegativeWorkersIsRejected) {
 }
 
 TEST(JobManagerOptionsTest, ZeroWorkersMeansHardwareConcurrency) {
+  ScratchDir Scratch("wootz_jobs_zero_workers");
+  ArtifactStore Artifacts(rootAt(Scratch));
   JobManagerOptions Options;
   Options.Workers = 0;
-  JobManager Manager(Options, nullptr, nullptr);
+  JobManager Manager(Options, Artifacts, nullptr, nullptr);
   EXPECT_TRUE(Manager.optionsError().empty());
+}
+
+TEST(JobManagerOptionsTest, EmptyRootIsRefusedAtStart) {
+  // start() answers with a message, and nothing built on the empty root
+  // writes anywhere: the layout paths are empty and every write path
+  // refuses.
+  WootzServer Daemon(ServerOptions{});
+  EXPECT_EQ(Daemon.artifacts().jobsDir(), "");
+  EXPECT_EQ(Daemon.artifacts().modelsDir(), "");
+  Error Started = Daemon.start();
+  ASSERT_TRUE(static_cast<bool>(Started));
+  EXPECT_NE(Started.message().find("artifact root is empty"),
+            std::string::npos);
+  EXPECT_EQ(Daemon.jobs().submit(tinyJobBody()).Status, 503);
+  EXPECT_EQ(Daemon.uploads().upload({{"model", tinyModelText()}}).Status,
+            503);
+  EXPECT_NE(Daemon.metricsText().find("wootz_jobs_queued"),
+            std::string::npos);
+  EXPECT_TRUE(static_cast<bool>(Daemon.artifacts().heartbeat()));
+  Daemon.drain();
 }
 
 //===----------------------------------------------------------------------===//
 // Crash recovery with a warm block cache
 //===----------------------------------------------------------------------===//
 
-TEST(JobRecoveryTest, ReclaimedJobRerunsWarmAndMatchesTheColdResult) {
-  ScratchDir Scratch("wootz_job_recovery");
-  JobManagerOptions Shared;
-  Shared.Workers = 1;
-  Shared.QueueDir = Scratch.str() + "/jobs";
-  Shared.BlockCacheDir = Scratch.str() + "/block_cache";
-  Shared.CacheDir = Scratch.str() + "/cache";
-  Shared.ArtifactDir = Scratch.str() + "/artifacts";
-  Shared.PollSeconds = 0.05;
+/// What a cold run and a crash-recovered warm rerun of one job report.
+struct RecoveryRun {
+  std::string ColdStatus, WarmStatus;
+  std::map<std::string, int64_t> WarmCounters;
+};
 
-  // Cold run: executes normally, populating the shared block cache.
-  std::string ColdId, ColdStatus;
+/// In a scratch root named \p ScratchName, runs \p Body to done on one
+/// manager (populating the shared block
+/// cache), then has a raw queue claim an identical job with a tiny lease
+/// TTL and die without finishing — the journal says running, the lease
+/// expires, nobody heartbeats — and lets a fresh manager reclaim and
+/// rerun it.
+void runColdThenRecoverWarm(const char *ScratchName,
+                            const std::map<std::string, std::string> &Body,
+                            RecoveryRun &Out) {
+  ScratchDir Scratch(ScratchName);
+  JobManagerOptions Options;
+  Options.Workers = 1;
+  Options.PollSeconds = 0.05;
+
   {
-    JobManagerOptions Options = Shared;
-    Options.Owner = "proc-cold";
+    ArtifactStore Artifacts(rootAt(Scratch, "proc-cold"));
     RunLog Log;
-    JobManager Cold(Options, nullptr, &Log);
-    const SubmitOutcome Submitted = Cold.submit(tinyJobBody());
+    JobManager Cold(Options, Artifacts, nullptr, &Log);
+    const SubmitOutcome Submitted = Cold.submit(Body);
     ASSERT_EQ(Submitted.Status, 202) << Submitted.Error;
-    ColdId = Submitted.Id;
-    ASSERT_EQ(waitForTerminal(Cold, ColdId), "done");
+    ASSERT_EQ(waitForTerminal(Cold, Submitted.Id), "done");
     const std::map<std::string, int64_t> Counters =
-        Cold.executor().countersFor(ColdId);
+        Cold.executor().countersFor(Submitted.Id);
     EXPECT_GT(Counters.at("cache.miss"), 0); // Trained its blocks cold.
-    ColdStatus = *Cold.statusJson(ColdId);
+    Out.ColdStatus = *Cold.statusJson(Submitted.Id);
     Cold.drain();
   }
 
-  // Simulated crash: a raw queue claims an identical job with a tiny
-  // lease TTL and dies without finishing — the journal says running,
-  // the lease expires, nobody heartbeats.
   std::string CrashedId;
   {
-    JobQueue Dead(queueOptions(Shared.QueueDir, "dead-proc", 0.05));
+    JobQueue Dead(queueOptions(Scratch.str() + "/jobs", "dead-proc", 0.05));
     Result<std::string> Submitted =
-        Dead.submit(tinyJobBody(), "resnet_a", "fixed", "l1", 2);
+        Dead.submit(Body, "resnet_a", "fixed", "l1", 2);
     ASSERT_TRUE(static_cast<bool>(Submitted));
     CrashedId = *Submitted;
     ASSERT_TRUE(Dead.claim().has_value());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
 
-  // Restart: a fresh manager reclaims the orphan and reruns it. The
-  // warm cache satisfies every block, and the result reproduces the
-  // cold run bit-exactly (deterministic training + identical inputs).
-  JobManagerOptions Options = Shared;
-  Options.Owner = "proc-warm";
+  ArtifactStore Artifacts(rootAt(Scratch, "proc-warm"));
   RunLog Log;
-  JobManager Warm(Options, nullptr, &Log);
+  JobManager Warm(Options, Artifacts, nullptr, &Log);
   ASSERT_EQ(waitForTerminal(Warm, CrashedId), "done");
   EXPECT_GE(Log.counters().at("serve.jobs.reclaimed"), 1);
   Result<JobRecord> Reran = Warm.queue().get(CrashedId);
   ASSERT_TRUE(static_cast<bool>(Reran));
   EXPECT_EQ(Reran->Reclaims, 1);
   EXPECT_EQ(Reran->Owner, "proc-warm");
+  Out.WarmCounters = Warm.executor().countersFor(CrashedId);
+  Out.WarmStatus = *Warm.statusJson(CrashedId);
+  Warm.drain();
+}
 
-  const std::map<std::string, int64_t> Counters =
-      Warm.executor().countersFor(CrashedId);
-  EXPECT_GT(Counters.at("cache.hit"), 0);
-  EXPECT_EQ(Counters.count("cache.miss"), 0u); // Pre-trained zero blocks.
-
-  const std::string WarmStatus = *Warm.statusJson(CrashedId);
+TEST(JobRecoveryTest, ReclaimedJobRerunsWarmAndMatchesTheColdResult) {
+  // One pipeline worker and the evalonly schedule, so every field below
+  // is a function of the inputs. With two workers under overlap,
+  // configs_evaluated depends on whether the second position started
+  // before the first met the objective and cancelled it
+  // (PipelineOptions::Workers leaves that timing free). evalonly
+  // pre-trains every block before evaluating and never cancels, so the
+  // warm rerun finds every block in the cache.
+  std::map<std::string, std::string> Body = tinyJobBody();
+  Body["workers"] = "1";
+  Body["schedule"] = "evalonly";
+  RecoveryRun Run;
+  ASSERT_NO_FATAL_FAILURE(
+      runColdThenRecoverWarm("wootz_job_recovery", Body, Run));
+  EXPECT_GT(Run.WarmCounters.at("cache.hit"), 0);
+  // Pre-trained zero blocks.
+  EXPECT_EQ(Run.WarmCounters.count("cache.miss"), 0u);
   for (const char *Field :
        {"winner_index", "winner_accuracy", "winner_size_fraction",
         "full_accuracy", "configs_evaluated"})
-    EXPECT_EQ(jsonField(WarmStatus, Field), jsonField(ColdStatus, Field))
+    EXPECT_EQ(jsonField(Run.WarmStatus, Field),
+              jsonField(Run.ColdStatus, Field))
         << Field;
-  Warm.drain();
+}
+
+TEST(JobRecoveryTest, OverlapRerunWithOneWorkerMatchesTheColdResult) {
+  // The submitted default schedule (overlap, whose first satisfying
+  // configuration cancels the rest) with one pipeline worker: the task
+  // order is fixed, so the rerun reproduces the cold result. cache.miss
+  // is not pinned: both runs look up the second position's block, which
+  // the first position's cancel drops before it trains, so it never
+  // reaches the cache and the rerun counts one miss without training.
+  std::map<std::string, std::string> Body = tinyJobBody();
+  Body["workers"] = "1";
+  RecoveryRun Run;
+  ASSERT_NO_FATAL_FAILURE(
+      runColdThenRecoverWarm("wootz_job_recovery_overlap", Body, Run));
+  EXPECT_GT(Run.WarmCounters.at("cache.hit"), 0);
+  for (const char *Field :
+       {"winner_index", "winner_accuracy", "winner_size_fraction",
+        "full_accuracy", "configs_evaluated"})
+    EXPECT_EQ(jsonField(Run.WarmStatus, Field),
+              jsonField(Run.ColdStatus, Field))
+        << Field;
 }
 
 //===----------------------------------------------------------------------===//
@@ -577,13 +639,11 @@ TEST(MultiProcessServeTest, TwoDaemonsShareModelsJobsAndBlockCache) {
   // Daemon A submits and observes but never executes; daemon B has the
   // only executor — every job accepted by A must run on B.
   ServerOptions OptionsA;
-  OptionsA.Artifacts.Root = Scratch.str();
-  OptionsA.Artifacts.ProcessName = "proc-a";
+  OptionsA.Artifacts = rootAt(Scratch, "proc-a");
   OptionsA.Jobs.ExecuteJobs = false;
   OptionsA.Jobs.PollSeconds = 0.05;
   ServerOptions OptionsB;
-  OptionsB.Artifacts.Root = Scratch.str();
-  OptionsB.Artifacts.ProcessName = "proc-b";
+  OptionsB.Artifacts = rootAt(Scratch, "proc-b");
   OptionsB.Jobs.Workers = 1;
   OptionsB.Jobs.PollSeconds = 0.05;
 
@@ -671,6 +731,100 @@ TEST(MultiProcessServeTest, TwoDaemonsShareModelsJobsAndBlockCache) {
 
   B.drain();
   A.drain();
+}
+
+//===----------------------------------------------------------------------===//
+// One daemon restarted on its own root
+//===----------------------------------------------------------------------===//
+
+/// The id field of an accepted-job response.
+std::string acceptedId(const std::string &Response) {
+  const std::string Quoted = jsonField(bodyOf(Response), "id");
+  return Quoted.size() < 2 ? "" : Quoted.substr(1, Quoted.size() - 2);
+}
+
+TEST(ServeRestartTest, RestartedDaemonListsFinishedJobsAndReclaimsOrphans) {
+  ScratchDir Scratch("wootz_serve_restart");
+  ServerOptions Options;
+  // A stable process name, as `serve --shard` gives across restarts.
+  Options.Artifacts = rootAt(Scratch, "shard-1-of-1");
+  Options.Jobs.Workers = 1;
+  Options.Jobs.PollSeconds = 0.05;
+  const std::string Job = tinyJobJson({{"workers", "1"}});
+
+  // First life: run one job to done, then drain and exit.
+  std::string FinishedId, Before;
+  {
+    WootzServer First(Options);
+    ASSERT_FALSE(static_cast<bool>(First.start()));
+    Result<std::string> Accepted =
+        rawRequest(First.port(), makeRequest("POST", "/v1/jobs", Job));
+    ASSERT_TRUE(static_cast<bool>(Accepted)) << Accepted.message();
+    ASSERT_EQ(statusOf(*Accepted), 202) << *Accepted;
+    FinishedId = acceptedId(*Accepted);
+    ASSERT_EQ(waitForTerminal(First.jobs(), FinishedId), "done");
+    Result<std::string> Status = rawRequest(
+        First.port(), makeRequest("GET", "/v1/jobs/" + FinishedId, ""));
+    ASSERT_TRUE(static_cast<bool>(Status));
+    Before = bodyOf(*Status);
+    First.drain();
+  }
+
+  // Processes that died mid-job: their journals say running, and their
+  // tiny leases have expired by the time the daemon comes back. One is
+  // a peer; the other is this daemon's own earlier life (same name).
+  std::vector<std::string> OrphanIds;
+  for (const char *DeadOwner : {"dead-proc", "shard-1-of-1"}) {
+    JobQueue Dead(queueOptions(Scratch.str() + "/jobs", DeadOwner, 0.05));
+    std::map<std::string, std::string> Body = tinyJobBody();
+    Body["workers"] = "1";
+    Result<std::string> Submitted =
+        Dead.submit(Body, "resnet_a", "fixed", "l1", 2);
+    ASSERT_TRUE(static_cast<bool>(Submitted));
+    OrphanIds.push_back(*Submitted);
+    ASSERT_TRUE(Dead.claim().has_value());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+
+  // Second life on the same root.
+  WootzServer Second(Options);
+  ASSERT_FALSE(static_cast<bool>(Second.start()));
+  Result<std::string> Status = rawRequest(
+      Second.port(), makeRequest("GET", "/v1/jobs/" + FinishedId, ""));
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.message();
+  ASSERT_EQ(statusOf(*Status), 200) << *Status;
+  const std::string After = bodyOf(*Status);
+  EXPECT_EQ(jsonField(After, "state"), "\"done\"");
+  for (const char *Field : {"winner_index", "winner_accuracy",
+                            "winner_size_fraction", "full_accuracy"})
+    EXPECT_EQ(jsonField(After, Field), jsonField(Before, Field)) << Field;
+  // Its duration comes from the journal's stamps, and its winner, which
+  // this life has not registered, is not offered for predict.
+  EXPECT_NEAR(std::stod(jsonField(After, "seconds")),
+              std::stod(jsonField(Before, "seconds")), 0.01);
+  EXPECT_LT(std::stod(jsonField(After, "finished_at")), 0.0);
+  EXPECT_EQ(jsonField(Before, "model"), "\"" + FinishedId + "\"");
+  EXPECT_EQ(jsonField(After, "model"), "");
+
+  // A new submission does not reuse the first life's id. It queues
+  // behind the reclaimed orphans, so cancelling it ends it at once.
+  Result<std::string> Again =
+      rawRequest(Second.port(), makeRequest("POST", "/v1/jobs", Job));
+  ASSERT_TRUE(static_cast<bool>(Again));
+  ASSERT_EQ(statusOf(*Again), 202) << *Again;
+  EXPECT_NE(acceptedId(*Again), FinishedId);
+  ASSERT_TRUE(static_cast<bool>(Second.jobs().cancel(acceptedId(*Again))));
+
+  // Both orphans are reclaimed and run to done here, so drain returns.
+  for (const std::string &OrphanId : OrphanIds) {
+    ASSERT_EQ(waitForTerminal(Second.jobs(), OrphanId), "done") << OrphanId;
+    Result<JobRecord> Reran = Second.jobs().queue().get(OrphanId);
+    ASSERT_TRUE(static_cast<bool>(Reran));
+    EXPECT_EQ(Reran->Reclaims, 1) << OrphanId;
+    EXPECT_EQ(Reran->Owner, "shard-1-of-1");
+  }
+  Second.drain();
+  EXPECT_TRUE(Second.jobs().queue().allSettled());
 }
 
 } // namespace

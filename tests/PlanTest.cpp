@@ -99,7 +99,9 @@ TEST(PlanTest, EveryMiniModelFoldsAllBatchNormAndFusesAllReLU) {
             << standardModelName(Which) << " unfolded conv " << Step.Node;
         EXPECT_TRUE(Step.HasBias) << "folding must synthesize a bias";
         EXPECT_FALSE(Step.Packed.empty())
-            << "conv panels must be pre-packed by default";
+            << "conv panels must be pre-packed";
+        EXPECT_TRUE(Step.Weight.empty())
+            << "a conv step keeps its weights only as packed panels";
       }
       if (Step.Kind == PlanStep::Op::Dense)
         ++Denses;
@@ -258,12 +260,6 @@ TEST(PlanTest, OptionSwitchesDisableEachTransformation) {
     EXPECT_FALSE(Step.FusedReLU);
   }
   EXPECT_GT(ReLUs, 0);
-
-  PlanOptions NoPack;
-  NoPack.PrePackPanels = false;
-  const ExecPlan Unpacked = compilePlan(Network, Logits, NoPack);
-  for (const PlanStep &Step : Unpacked.steps())
-    EXPECT_TRUE(Step.Packed.empty());
 }
 
 TEST(PlanTest, CompileFailsCleanlyOnBadNodes) {

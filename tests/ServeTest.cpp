@@ -62,6 +62,13 @@ private:
   std::string Path;
 };
 
+/// Artifact-store options rooted at \p Scratch.
+ArtifactStoreOptions rootAt(const ScratchDir &Scratch) {
+  ArtifactStoreOptions Options;
+  Options.Root = Scratch.str();
+  return Options;
+}
+
 //===----------------------------------------------------------------------===//
 // A minimal blocking HTTP client (tests only).
 //===----------------------------------------------------------------------===//
@@ -1040,7 +1047,9 @@ TEST(ServeBatcherTest, StopFailsFurtherPredictions) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServeJobManagerTest, RejectsMalformedSubmissions) {
-  JobManager Manager(JobManagerOptions(), nullptr, nullptr);
+  ScratchDir Scratch("wootz_serve_jobs_malformed");
+  ArtifactStore Artifacts(rootAt(Scratch));
+  JobManager Manager(JobManagerOptions(), Artifacts, nullptr, nullptr);
 
   auto Missing = tinyJobBody();
   Missing.erase("objective");
@@ -1077,10 +1086,8 @@ TEST(ServeJobManagerTest, RunsAJobToDoneAndRegistersTheWinner) {
   ScratchDir Scratch("wootz_serve_jobmanager");
   RunLog Log;
   ModelRegistry Registry(BatcherOptions(), &Log, nullptr);
-  JobManagerOptions Options;
-  Options.BlockCacheDir = Scratch.str() + "/blocks";
-  Options.ArtifactDir = Scratch.str() + "/artifacts";
-  JobManager Manager(Options, &Registry, &Log);
+  ArtifactStore Artifacts(rootAt(Scratch));
+  JobManager Manager(JobManagerOptions(), Artifacts, &Registry, &Log);
 
   const SubmitOutcome Submitted = Manager.submit(tinyJobBody());
   ASSERT_EQ(Submitted.Status, 202) << Submitted.Error;
@@ -1107,9 +1114,9 @@ TEST(ServeJobManagerTest, RunsAJobToDoneAndRegistersTheWinner) {
   EXPECT_LT(Out->ArgMax, Model->Classes);
 
   // Artifacts landed under the job's directory.
-  EXPECT_TRUE(fs::exists(Options.ArtifactDir + "/" + Submitted.Id +
+  EXPECT_TRUE(fs::exists(Artifacts.artifactsDir() + "/" + Submitted.Id +
                          "/result.json"));
-  EXPECT_TRUE(fs::exists(Options.ArtifactDir + "/" + Submitted.Id +
+  EXPECT_TRUE(fs::exists(Artifacts.artifactsDir() + "/" + Submitted.Id +
                          "/telemetry.jsonl"));
 
   // The submit/complete counters reached the server log.
@@ -1121,10 +1128,12 @@ TEST(ServeJobManagerTest, RunsAJobToDoneAndRegistersTheWinner) {
 }
 
 TEST(ServeJobManagerTest, QueueBackpressureAnswers429) {
+  ScratchDir Scratch("wootz_serve_jobs_backpressure");
+  ArtifactStore Artifacts(rootAt(Scratch));
   JobManagerOptions Options;
   Options.Workers = 1;
   Options.MaxQueuedJobs = 1;
-  JobManager Manager(Options, nullptr, nullptr);
+  JobManager Manager(Options, Artifacts, nullptr, nullptr);
 
   // A: slow enough to hold the single worker while we probe the queue.
   const SubmitOutcome A = Manager.submit(tinyJobBody(300));
@@ -1154,9 +1163,11 @@ TEST(ServeJobManagerTest, QueueBackpressureAnswers429) {
 }
 
 TEST(ServeJobManagerTest, DrainRunsEveryAcceptedJobToATerminalState) {
+  ScratchDir Scratch("wootz_serve_jobs_drain");
+  ArtifactStore Artifacts(rootAt(Scratch));
   JobManagerOptions Options;
   Options.Workers = 1;
-  JobManager Manager(Options, nullptr, nullptr);
+  JobManager Manager(Options, Artifacts, nullptr, nullptr);
   const SubmitOutcome A = Manager.submit(tinyJobBody());
   const SubmitOutcome B = Manager.submit(tinyJobBody());
   ASSERT_EQ(A.Status, 202);
@@ -1176,7 +1187,9 @@ TEST(ServeJobManagerTest, DrainRunsEveryAcceptedJobToATerminalState) {
 }
 
 TEST(ServeJobManagerTest, CancellingAnUnknownJobErrors) {
-  JobManager Manager(JobManagerOptions(), nullptr, nullptr);
+  ScratchDir Scratch("wootz_serve_jobs_cancel_unknown");
+  ArtifactStore Artifacts(rootAt(Scratch));
+  JobManager Manager(JobManagerOptions(), Artifacts, nullptr, nullptr);
   Result<std::string> Out = Manager.cancel("job-999");
   EXPECT_FALSE(static_cast<bool>(Out));
 }
@@ -1189,8 +1202,7 @@ TEST(ServeEndToEndTest, JobSubmissionPredictionAndMetricsOverHttp) {
   ScratchDir Scratch("wootz_serve_e2e");
   ServerOptions Options;
   Options.Http.Workers = 4;
-  Options.Jobs.BlockCacheDir = Scratch.str() + "/blocks";
-  Options.Jobs.ArtifactDir = Scratch.str() + "/artifacts";
+  Options.Artifacts = rootAt(Scratch);
   WootzServer Server(Options);
   Error Started = Server.start();
   ASSERT_FALSE(static_cast<bool>(Started)) << Started.message();
@@ -1286,7 +1298,10 @@ TEST(ServeEndToEndTest, JobSubmissionPredictionAndMetricsOverHttp) {
 }
 
 TEST(ServeEndToEndTest, ApiErrorsAreWellFormed) {
-  WootzServer Server(ServerOptions{});
+  ScratchDir Scratch("wootz_serve_api_errors");
+  ServerOptions Options;
+  Options.Artifacts = rootAt(Scratch);
+  WootzServer Server(Options);
   ASSERT_FALSE(static_cast<bool>(Server.start()));
   const int Port = Server.port();
 
@@ -1316,7 +1331,10 @@ TEST(ServeEndToEndTest, ApiErrorsAreWellFormed) {
 }
 
 TEST(ServeEndToEndTest, ConcurrentMixedClientSoak) {
-  WootzServer Server(ServerOptions{});
+  ScratchDir Scratch("wootz_serve_soak");
+  ServerOptions Options;
+  Options.Artifacts = rootAt(Scratch);
+  WootzServer Server(Options);
   ASSERT_FALSE(static_cast<bool>(Server.start()));
   const int Port = Server.port();
 
@@ -1375,7 +1393,9 @@ TEST(ServeEndToEndTest, ConcurrentMixedClientSoak) {
 }
 
 TEST(ServeEndToEndTest, GracefulDrainFinishesAcceptedJobs) {
+  ScratchDir Scratch("wootz_serve_graceful_drain");
   ServerOptions Options;
+  Options.Artifacts = rootAt(Scratch);
   WootzServer Server(Options);
   ASSERT_FALSE(static_cast<bool>(Server.start()));
   const int Port = Server.port();
@@ -1418,12 +1438,7 @@ struct StoreHarness {
   explicit StoreHarness(const std::string &Dir,
                         ModelStoreOptions Options = ModelStoreOptions())
       : Registry(BatcherOptions(), &Log, nullptr),
-        Store(
-            [&] {
-              Options.Dir = Dir;
-              return Options;
-            }(),
-            &Registry, &Log) {}
+        Store(Dir, Options, &Registry, &Log) {}
   ~StoreHarness() { Registry.stopAll(); }
 
   int64_t counter(const std::string &Name) const {
@@ -1675,8 +1690,7 @@ TEST(ServeModelStoreTest, RestoreSkipsCorruptEntries) {
 TEST(ServeEndToEndTest, UploadPruneAndPredictOverHttp) {
   ScratchDir Scratch("wootz_upload_e2e");
   ServerOptions Options;
-  Options.Jobs.BlockCacheDir = Scratch.str() + "/blocks";
-  Options.Uploads.Dir = Scratch.str() + "/models";
+  Options.Artifacts = rootAt(Scratch);
   WootzServer Server(Options);
   ASSERT_FALSE(static_cast<bool>(Server.start()));
   const int Port = Server.port();

@@ -16,6 +16,7 @@
 #include "src/explore/strategy/Adaptive.h"
 #include "src/explore/strategy/FixedSubspace.h"
 #include "src/explore/strategy/GreedySensitivity.h"
+#include "src/serve/ArtifactStore.h"
 #include "src/serve/JobManager.h"
 #include "src/wootz/wootz.h"
 
@@ -494,6 +495,26 @@ std::map<std::string, std::string> strategyJobBody() {
           {"identifier", "false"}};
 }
 
+/// A fresh artifact root for a JobManager under test, removed again on
+/// destruction.
+class ScratchRoot {
+public:
+  explicit ScratchRoot(const std::string &Name)
+      : Path(::testing::TempDir() + Name), Store([&] {
+          fs::remove_all(Path);
+          ArtifactStoreOptions Options;
+          Options.Root = Path;
+          return Options;
+        }()) {}
+  ~ScratchRoot() {
+    std::error_code Ignored;
+    fs::remove_all(Path, Ignored);
+  }
+
+  const std::string Path;
+  ArtifactStore Store;
+};
+
 std::string waitForTerminal(JobManager &Manager, const std::string &Id,
                             int TimeoutSeconds = 120) {
   const auto Deadline = std::chrono::steady_clock::now() +
@@ -512,7 +533,8 @@ std::string waitForTerminal(JobManager &Manager, const std::string &Id,
 }
 
 TEST(StrategyJobApiTest, UnknownNamesAndBadKnobsAre400s) {
-  JobManager Manager(JobManagerOptions(), nullptr, nullptr);
+  ScratchRoot Root("wootz_strategy_job_api_400");
+  JobManager Manager(JobManagerOptions(), Root.Store, nullptr, nullptr);
 
   auto BadStrategy = strategyJobBody();
   BadStrategy["strategy"] = "annealing";
@@ -545,9 +567,10 @@ TEST(StrategyJobApiTest, UnknownNamesAndBadKnobsAre400s) {
 }
 
 TEST(StrategyJobApiTest, AdaptiveJobRunsToDoneWithRoundCounters) {
+  ScratchRoot Root("wootz_strategy_job_api_adaptive");
   JobManagerOptions Options;
   Options.Workers = 1;
-  JobManager Manager(Options, nullptr, nullptr);
+  JobManager Manager(Options, Root.Store, nullptr, nullptr);
 
   auto Body = strategyJobBody();
   Body["strategy"] = "adaptive";

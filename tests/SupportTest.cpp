@@ -253,13 +253,14 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
 
 TEST(ThreadPoolTest, ParallelForWithZeroCountIsANoOp) {
   ThreadPool Pool(2);
-  int Calls = 0;
+  // Atomic: both workers may run iterations of the second loop at once.
+  std::atomic<int> Calls{0};
   Pool.parallelFor(0, [&](size_t) { ++Calls; });
-  EXPECT_EQ(Calls, 0);
+  EXPECT_EQ(Calls.load(), 0);
   // The pool must still be usable afterwards.
   Pool.parallelFor(3, [&](size_t) { ++Calls; });
   Pool.wait();
-  EXPECT_EQ(Calls, 3);
+  EXPECT_EQ(Calls.load(), 3);
 }
 
 TEST(ThreadPoolTest, InlinePoolParallelForCoversRangeInOrder) {
