@@ -1,10 +1,10 @@
 //===- bench/bench_kernels.cpp - Compute-kernel micro benchmark ------------------===//
 //
 // Tracks the performance of the compute substrate everything else sits
-// on: blocked vs reference GEMM GFLOP/s across sizes (single- and
-// multi-threaded) and batch-parallel Conv2D forward/backward scaling
-// over kernel worker counts. Every row also lands in BENCH_kernels.json
-// so the perf trajectory is machine-readable from this PR onward.
+// on: blocked vs reference GEMM GFLOP/s across sizes, and the eval
+// convolution's fused im2col+pack path against a materialized im2col
+// matrix. Kernels run on the calling thread. Every row also lands in
+// BENCH_kernels.json so the perf trajectory is machine-readable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +32,7 @@ namespace {
 /// accumulated (after one warmup call), three times, and takes the
 /// median of the per-call means.
 double secondsPerCall(const std::function<void()> &Body) {
-  Body(); // Warmup: scratch allocation, pool spin-up, page faults.
+  Body(); // Warmup: scratch allocation, page faults.
   std::vector<double> Means;
   for (int Round = 0; Round < 3; ++Round) {
     Stopwatch Timer;
@@ -59,21 +59,18 @@ double gflops(double Flops, double Seconds) {
 } // namespace
 
 int main() {
-  std::printf("=== Compute kernels: blocked GEMM and batch-parallel "
-              "Conv2D ===\n\n");
+  std::printf("=== Compute kernels: blocked GEMM and fused Conv2D ===\n\n");
   std::string JsonRows;
   auto pushRow = [&JsonRows](const JsonObject &Row) {
     JsonRows += std::string(JsonRows.empty() ? "" : ",\n  ") + Row.str();
   };
 
-  const unsigned MtWorkers = 4;
   Rng Generator(0xbe7c);
 
   //===--------------------------------------------------------------------===//
-  // GEMM: reference vs blocked, single- and multi-threaded.
+  // GEMM: reference vs blocked.
   //===--------------------------------------------------------------------===//
-  Table GemmTable({"size", "ref GF/s", "blocked GF/s", "blocked x4 GF/s",
-                   "speedup 1T", "scaling 1->4"});
+  Table GemmTable({"size", "ref GF/s", "blocked GF/s", "speedup"});
   for (int Size : {32, 64, 128, 256, 512}) {
     const size_t Count = static_cast<size_t>(Size) * Size;
     Tensor A(Shape{Size, Size}), B(Shape{Size, Size}), C(Shape{Size, Size});
@@ -83,22 +80,14 @@ int main() {
 
     const double RefSec = secondsPerCall(
         [&] { gemmReference(A.data(), B.data(), C.data(), Size, Size, Size); });
-    setKernelWorkers(1);
     const double BlockedSec = secondsPerCall(
         [&] { gemm(A.data(), B.data(), C.data(), Size, Size, Size); });
-    setKernelWorkers(MtWorkers);
-    const double BlockedMtSec = secondsPerCall(
-        [&] { gemm(A.data(), B.data(), C.data(), Size, Size, Size); });
-    setKernelWorkers(1);
 
     const double RefGf = gflops(Flops, RefSec);
     const double BlockedGf = gflops(Flops, BlockedSec);
-    const double BlockedMtGf = gflops(Flops, BlockedMtSec);
     GemmTable.addRow({std::to_string(Size), formatDouble(RefGf, 2),
                       formatDouble(BlockedGf, 2),
-                      formatDouble(BlockedMtGf, 2),
-                      formatDouble(BlockedGf / RefGf, 2) + "x",
-                      formatDouble(BlockedMtGf / BlockedGf, 2) + "x"});
+                      formatDouble(BlockedGf / RefGf, 2) + "x"});
     JsonObject Row;
     Row.field("kind", "gemm")
         .field("m", Size)
@@ -106,8 +95,6 @@ int main() {
         .field("n", Size)
         .field("gflops_reference", RefGf, 3)
         .field("gflops_blocked", BlockedGf, 3)
-        .field("gflops_blocked_mt", BlockedMtGf, 3)
-        .field("mt_workers", static_cast<int>(MtWorkers))
         .field("speedup_blocked_vs_reference", BlockedGf / RefGf, 3);
     pushRow(Row);
   }
@@ -115,95 +102,26 @@ int main() {
               GemmTable.render().c_str());
 
   //===--------------------------------------------------------------------===//
-  // Conv2D forward/backward: batch-parallel scaling over workers.
+  // Eval conv forward: fused im2col+pack vs materialized im2col.
   //===--------------------------------------------------------------------===//
   const int Batch = 8;
-  ConvGeometry Geometry{16, 32, 3, 1, 1};
+  const ConvGeometry Geometry{16, 32, 3, 1, 1};
   const int Height = 16, Width = 16;
   Conv2D Conv(Geometry);
   Conv.initParams(Generator);
-
   Tensor In(Shape{Batch, Geometry.InChannels, Height, Width});
   fillRandom(In.data(), In.size(), Generator);
-  const Shape OutShape = Conv.outputShape({In.shape()});
-  Tensor Out(OutShape), GradOut(OutShape), GradIn(In.shape());
-  fillRandom(GradOut.data(), GradOut.size(), Generator);
-  LayerScratch Scratch;
-  const std::vector<const Tensor *> Inputs{&In};
-  const std::vector<Tensor *> GradInputs{&GradIn};
+  Tensor Out(Conv.outputShape({In.shape()}));
 
-  const int OutH = Geometry.outExtent(Height);
-  const int OutW = Geometry.outExtent(Width);
-  const double ColRows = static_cast<double>(Geometry.InChannels) *
-                         Geometry.KernelSize * Geometry.KernelSize;
-  const double FwdFlops = 2.0 * Batch * Geometry.OutChannels * ColRows *
-                          OutH * OutW;
-  const double BwdFlops = 2.0 * FwdFlops; // dW and dX GEMMs.
-
-  Table ConvTable({"workers", "fwd ms", "fwd GF/s", "bwd ms", "bwd GF/s"});
-  double FwdOneWorker = 0.0, FwdFourWorkers = 0.0;
-  for (unsigned Workers : {1u, 2u, 4u}) {
-    setKernelWorkers(Workers);
-    const double FwdSec = secondsPerCall(
-        [&] { Conv.forward(Inputs, Out, Scratch, /*Training=*/true); });
-    const double BwdSec = secondsPerCall([&] {
-      for (Param *P : Conv.params())
-        P->Grad.zero();
-      GradIn.zero();
-      Conv.backward(Inputs, Out, GradOut, Scratch, GradInputs);
-    });
-    if (Workers == 1)
-      FwdOneWorker = FwdSec;
-    if (Workers == 4)
-      FwdFourWorkers = FwdSec;
-    ConvTable.addRow({std::to_string(Workers),
-                      formatDouble(FwdSec * 1e3, 3),
-                      formatDouble(gflops(FwdFlops, FwdSec), 2),
-                      formatDouble(BwdSec * 1e3, 3),
-                      formatDouble(gflops(BwdFlops, BwdSec), 2)});
-    JsonObject Row;
-    Row.field("kind", "conv2d")
-        .field("batch", Batch)
-        .field("in_channels", Geometry.InChannels)
-        .field("out_channels", Geometry.OutChannels)
-        .field("kernel", Geometry.KernelSize)
-        .field("height", Height)
-        .field("width", Width)
-        .field("workers", static_cast<int>(Workers))
-        .field("forward_seconds", FwdSec, 6)
-        .field("forward_gflops", gflops(FwdFlops, FwdSec), 3)
-        .field("backward_seconds", BwdSec, 6)
-        .field("backward_gflops", gflops(BwdFlops, BwdSec), 3);
-    pushRow(Row);
-  }
-  setKernelWorkers(1);
-  std::printf("--- Conv2D %dx%d k%d, %d->%d channels, batch %d ---\n%s\n",
-              Height, Width, Geometry.KernelSize, Geometry.InChannels,
-              Geometry.OutChannels, Batch, ConvTable.render().c_str());
-  const double Scaling =
-      FwdFourWorkers > 0.0 ? FwdOneWorker / FwdFourWorkers : 0.0;
-  std::printf("conv forward scaling 1->4 workers: %.2fx (%.0f%% parallel "
-              "efficiency; expect ~1x on a single-core host)\n\n",
-              Scaling, 100.0 * Scaling / 4.0);
-  JsonObject Summary;
-  Summary.field("kind", "conv2d_scaling")
-      .field("workers_from", 1)
-      .field("workers_to", 4)
-      .field("forward_speedup", Scaling, 3);
-  pushRow(Summary);
-
-  //===--------------------------------------------------------------------===//
-  // Eval path: fused im2col+pack with the adaptive split, over workers.
-  //===--------------------------------------------------------------------===//
-  const int ColCols = OutH * OutW;
+  const int ColCols = Geometry.outExtent(Height) * Geometry.outExtent(Width);
   const int M = Geometry.OutChannels;
-  const int K = static_cast<int>(ColRows);
+  const int K = Geometry.InChannels * Geometry.KernelSize * Geometry.KernelSize;
+  const double FwdFlops = 2.0 * Batch * M * static_cast<double>(K) * ColCols;
   const float *WeightPtr = Conv.weight().Value.data();
   const float *BiasPtr = Conv.bias() ? Conv.bias()->Value.data() : nullptr;
 
   // Baseline: the pre-fusion eval path — materialize each sample's
   // im2col matrix, then run the same blocked GEMM over it.
-  setKernelWorkers(1);
   std::vector<float> Columns(static_cast<size_t>(K) * ColCols);
   const size_t InPlane =
       static_cast<size_t>(Geometry.InChannels) * Height * Width;
@@ -218,115 +136,32 @@ int main() {
                           /*Accumulate=*/false, BiasPtr);
     }
   });
+  const double FusedSec = secondsPerCall([&] {
+    convForwardFused(In.data(), Batch, Height, Width, Geometry, nullptr,
+                     WeightPtr, BiasPtr, /*FuseReLU=*/false, Out.data());
+  });
 
-  Table EvalTable({"workers", "fwd ms", "fwd GF/s", "split", "tasks"});
-  double EvalOneWorker = 0.0, EvalFourWorkers = 0.0;
-  for (unsigned Workers : {1u, 2u, 4u}) {
-    setKernelWorkers(Workers);
-    const ConvSplit Split = chooseConvSplit(Batch, M, K, ColCols);
-    const double EvalSec = secondsPerCall([&] {
-      convForwardFused(In.data(), Batch, Height, Width, Geometry, nullptr,
-                       WeightPtr, BiasPtr, /*FuseReLU=*/false, Out.data());
-    });
-    if (Workers == 1)
-      EvalOneWorker = EvalSec;
-    if (Workers == 4)
-      EvalFourWorkers = EvalSec;
-    EvalTable.addRow({std::to_string(Workers),
-                      formatDouble(EvalSec * 1e3, 3),
-                      formatDouble(gflops(FwdFlops, EvalSec), 2),
-                      convSplitKindName(Split.Kind),
-                      std::to_string(Split.Tasks)});
-    JsonObject Row;
-    Row.field("kind", "conv2d_eval_fused")
-        .field("batch", Batch)
-        .field("m", M)
-        .field("k", K)
-        .field("n", ColCols)
-        .field("workers", static_cast<int>(Workers))
-        .field("split", convSplitKindName(Split.Kind))
-        .field("column_chunk", Split.ColumnChunk)
-        .field("tasks", static_cast<int>(Split.Tasks))
-        .field("forward_seconds", EvalSec, 6)
-        .field("forward_gflops", gflops(FwdFlops, EvalSec), 3);
-    pushRow(Row);
-  }
-  setKernelWorkers(1);
-  std::printf("--- Conv2D eval forward, fused im2col+pack ---\n%s\n",
-              EvalTable.render().c_str());
-  const double FusedSpeedup =
-      EvalOneWorker > 0.0 ? MaterializedSec / EvalOneWorker : 0.0;
-  const double EvalScaling =
-      EvalFourWorkers > 0.0 ? EvalOneWorker / EvalFourWorkers : 0.0;
-  std::printf("fused vs materialized im2col (1 worker): %.2fx\n"
-              "eval forward scaling 1->4 workers: %.2fx (adaptive split; "
-              "expect ~1x on a single-core host)\n\n",
-              FusedSpeedup, EvalScaling);
-  JsonObject EvalSummary;
-  EvalSummary.field("kind", "conv2d_eval_scaling")
-      .field("workers_from", 1)
-      .field("workers_to", 4)
-      .field("forward_speedup", EvalScaling, 3)
-      .field("fused_vs_materialized_1t", FusedSpeedup, 3)
-      .field("materialized_seconds", MaterializedSec, 6);
-  pushRow(EvalSummary);
-
-  //===--------------------------------------------------------------------===//
-  // The measured cost model and the split crossover it induces.
-  //===--------------------------------------------------------------------===//
-  setKernelWorkers(MtWorkers);
-  const KernelCostModel Model = kernelCostModel();
-  std::printf("--- Measured cost model (%u workers) ---\n"
-              "dispatch %.1f us, %.3f GF/s single-thread, measured pool "
-              "speedup %.2fx\n\n",
-              Model.Workers, Model.DispatchSeconds * 1e6,
-              Model.SecondsPerFlop > 0.0
-                  ? 1.0 / (Model.SecondsPerFlop * 1e9)
-                  : 0.0,
-              Model.ParallelSpeedup);
-  JsonObject ModelRow;
-  ModelRow.field("kind", "kernel_cost_model")
-      .field("workers", static_cast<int>(Model.Workers))
-      .field("dispatch_seconds", Model.DispatchSeconds, 9)
-      .field("seconds_per_flop", Model.SecondsPerFlop, 15)
-      .field("parallel_speedup", Model.ParallelSpeedup, 3);
-  pushRow(ModelRow);
-
-  // Crossover table: which split the heuristic picks as the conv
-  // problem grows, at the multi-threaded worker count. Geometry fixed
-  // at 3x3 16->32 channels; batch and spatial extent sweep.
-  Table SplitTable({"batch", "spatial", "gemm MxKxN", "split", "chunk",
-                    "tasks"});
-  for (int SweepBatch : {1, 2, 8}) {
-    for (int Spatial : {4, 8, 16, 32, 64}) {
-      const ConvGeometry SG{16, 32, 3, 1, 1};
-      const int SweepK = SG.InChannels * SG.KernelSize * SG.KernelSize;
-      const int SweepCols = SG.outExtent(Spatial) * SG.outExtent(Spatial);
-      const ConvSplit Split =
-          chooseConvSplit(SweepBatch, SG.OutChannels, SweepK, SweepCols);
-      SplitTable.addRow(
-          {std::to_string(SweepBatch), std::to_string(Spatial),
-           std::to_string(SG.OutChannels) + "x" + std::to_string(SweepK) +
-               "x" + std::to_string(SweepCols),
-           convSplitKindName(Split.Kind), std::to_string(Split.ColumnChunk),
-           std::to_string(Split.Tasks)});
-      JsonObject Row;
-      Row.field("kind", "conv_split")
-          .field("workers", static_cast<int>(MtWorkers))
-          .field("batch", SweepBatch)
-          .field("spatial", Spatial)
-          .field("m", SG.OutChannels)
-          .field("k", SweepK)
-          .field("n", SweepCols)
-          .field("split", convSplitKindName(Split.Kind))
-          .field("column_chunk", Split.ColumnChunk)
-          .field("tasks", static_cast<int>(Split.Tasks));
-      pushRow(Row);
-    }
-  }
-  setKernelWorkers(1);
-  std::printf("--- Split crossover (%u workers) ---\n%s\n", MtWorkers,
-              SplitTable.render().c_str());
+  Table EvalTable({"im2col", "fwd ms", "fwd GF/s"});
+  EvalTable.addRow({"materialized", formatDouble(MaterializedSec * 1e3, 3),
+                    formatDouble(gflops(FwdFlops, MaterializedSec), 2)});
+  EvalTable.addRow({"fused", formatDouble(FusedSec * 1e3, 3),
+                    formatDouble(gflops(FwdFlops, FusedSec), 2)});
+  const double FusedSpeedup = FusedSec > 0.0 ? MaterializedSec / FusedSec : 0.0;
+  std::printf("--- Conv2D eval forward %dx%d k%d, %d->%d channels, batch "
+              "%d ---\n%s\nfused vs materialized im2col: %.2fx\n\n",
+              Height, Width, Geometry.KernelSize, Geometry.InChannels, M,
+              Batch, EvalTable.render().c_str(), FusedSpeedup);
+  JsonObject EvalRow;
+  EvalRow.field("kind", "conv2d_eval_fused")
+      .field("batch", Batch)
+      .field("m", M)
+      .field("k", K)
+      .field("n", ColCols)
+      .field("forward_seconds", FusedSec, 6)
+      .field("forward_gflops", gflops(FwdFlops, FusedSec), 3)
+      .field("materialized_seconds", MaterializedSec, 6)
+      .field("fused_vs_materialized", FusedSpeedup, 3);
+  pushRow(EvalRow);
 
   const std::string JsonPath = "BENCH_kernels.json";
   Error WriteErr = writeFile(JsonPath, "[\n  " + JsonRows + "\n]\n");

@@ -98,31 +98,22 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
       static_cast<size_t>(Geometry.OutChannels) * ColCols;
   const size_t ColsPlane = static_cast<size_t>(ColRows) * ColCols;
 
-  // Inter-op parallelism: samples are independent, so the batch splits
-  // across the kernel workers when the measured cost model says the
-  // handoff pays for itself; the per-sample GEMM then runs serial on
-  // its worker (kernelParallelFor does not nest). A serial decision
-  // keeps the same chunk decomposition, so logits are unchanged.
-  const double BatchFlops = 2.0 * Batch * OutPlane * ColRows;
-  const size_t Grain = parallelWorthwhile(BatchFlops) ? 1 : Batch;
-  kernelParallelFor(Batch, Grain, [&](size_t Begin, size_t End) {
-    for (size_t N = Begin; N < End; ++N) {
-      const float *SampleCols = In.data() + N * InPlane;
-      if (!Pointwise) {
-        float *Expanded = Cols->data() + N * ColsPlane;
-        im2col(SampleCols, Geometry.InChannels, Height, Width, Geometry,
-               Expanded);
-        SampleCols = Expanded;
-      }
-      float *OutSample = Out.data() + N * OutPlane;
-      if (BiasPtr)
-        gemmBias(WeightPtr, SampleCols, BiasPtr, OutSample,
-                 Geometry.OutChannels, ColRows, ColCols);
-      else
-        gemm(WeightPtr, SampleCols, OutSample, Geometry.OutChannels,
-             ColRows, ColCols);
+  for (size_t N = 0; N < static_cast<size_t>(Batch); ++N) {
+    const float *SampleCols = In.data() + N * InPlane;
+    if (!Pointwise) {
+      float *Expanded = Cols->data() + N * ColsPlane;
+      im2col(SampleCols, Geometry.InChannels, Height, Width, Geometry,
+             Expanded);
+      SampleCols = Expanded;
     }
-  });
+    float *OutSample = Out.data() + N * OutPlane;
+    if (BiasPtr)
+      gemmBias(WeightPtr, SampleCols, BiasPtr, OutSample,
+               Geometry.OutChannels, ColRows, ColCols);
+    else
+      gemm(WeightPtr, SampleCols, OutSample, Geometry.OutChannels, ColRows,
+           ColCols);
+  }
 }
 
 void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
@@ -158,11 +149,9 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
   const int WeightCount = static_cast<int>(Weight.Grad.size());
   const int BiasCount = Geometry.OutChannels;
 
-  // Samples split across the kernel workers. Input gradients land in
-  // disjoint per-sample planes; parameter gradients go to per-sample
-  // rows of scratch buffers [1] and [2] that are reduced in sample order
-  // below, so the result is bit-identical for any worker count (and
-  // matches serial sample-by-sample accumulation).
+  // Parameter gradients go to per-sample rows of scratch buffers [1] and
+  // [2] that are reduced in sample order below; accumulating straight
+  // into Grad would reorder the sums.
   if (Scratch.Buffers.size() < 3)
     Scratch.Buffers.resize(3);
   Tensor &WeightGrads = Scratch.Buffers[1];
@@ -172,41 +161,34 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
   if (HasBias && BiasGrads.shape() != Shape{Batch, BiasCount})
     BiasGrads = Tensor(Shape{Batch, BiasCount});
 
-  // Roughly three forward-sized GEMMs per sample (dW, dCols, col2im
-  // traffic); fan out only when the measured cost model approves.
-  const double BackwardFlops =
-      3.0 * 2.0 * Batch * OutPlane * static_cast<double>(ColRows);
-  const size_t Grain = parallelWorthwhile(BackwardFlops) ? 1 : Batch;
-  kernelParallelFor(Batch, Grain, [&](size_t Begin, size_t End) {
-    KernelScratch &Local = KernelScratch::forCurrentThread();
-    for (size_t N = Begin; N < End; ++N) {
-      const float *SampleCols = Cols + N * ColsPlane;
-      const float *GradOutSample = GradOut.data() + N * OutPlane;
-      // dW(sample) = dOut * cols^T.
-      gemmTransposeB(GradOutSample, SampleCols,
-                     WeightGrads.data() + N * WeightCount,
-                     Geometry.OutChannels, ColCols, ColRows);
-      if (HasBias) {
-        float *BGrad = BiasGrads.data() + N * BiasCount;
-        for (int O = 0; O < Geometry.OutChannels; ++O) {
-          const float *Plane =
-              GradOutSample + static_cast<size_t>(O) * ColCols;
-          float Total = 0.0f;
-          for (int I = 0; I < ColCols; ++I)
-            Total += Plane[I];
-          BGrad[O] = Total;
-        }
+  KernelScratch &Local = KernelScratch::forCurrentThread();
+  for (size_t N = 0; N < static_cast<size_t>(Batch); ++N) {
+    const float *SampleCols = Cols + N * ColsPlane;
+    const float *GradOutSample = GradOut.data() + N * OutPlane;
+    // dW(sample) = dOut * cols^T.
+    gemmTransposeB(GradOutSample, SampleCols,
+                   WeightGrads.data() + N * WeightCount,
+                   Geometry.OutChannels, ColCols, ColRows);
+    if (HasBias) {
+      float *BGrad = BiasGrads.data() + N * BiasCount;
+      for (int O = 0; O < Geometry.OutChannels; ++O) {
+        const float *Plane =
+            GradOutSample + static_cast<size_t>(O) * ColCols;
+        float Total = 0.0f;
+        for (int I = 0; I < ColCols; ++I)
+          Total += Plane[I];
+        BGrad[O] = Total;
       }
-      if (!GradIn)
-        continue;
-      // dCols = W^T * dOut, then scatter back with col2im.
-      float *GradColsBuf = Local.GradCols.ensure(ColsPlane);
-      gemmTransposeA(Weight.Value.data(), GradOutSample, GradColsBuf,
-                     ColRows, Geometry.OutChannels, ColCols);
-      col2im(GradColsBuf, Geometry.InChannels, Height, Width, Geometry,
-             GradIn->data() + N * InPlane);
     }
-  });
+    if (!GradIn)
+      continue;
+    // dCols = W^T * dOut, then scatter back with col2im.
+    float *GradColsBuf = Local.GradCols.ensure(ColsPlane);
+    gemmTransposeA(Weight.Value.data(), GradOutSample, GradColsBuf, ColRows,
+                   Geometry.OutChannels, ColCols);
+    col2im(GradColsBuf, Geometry.InChannels, Height, Width, Geometry,
+           GradIn->data() + N * InPlane);
+  }
 
   for (int N = 0; N < Batch; ++N) {
     axpy(1.0f, WeightGrads.data() + N * WeightCount, Weight.Grad.data(),

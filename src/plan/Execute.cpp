@@ -1,11 +1,10 @@
 //===- plan/Execute.cpp - Plan execution -----------------------------------===//
 //
 // The PlanContext interpreter-free execution loop: every step reads and
-// writes raw arena storage at pre-computed offsets, batch-parallel where
-// the Graph interpreter is (convolution), and serial elsewhere. The
-// per-step math mirrors the eval-mode Layer implementations operation
-// for operation, so a plan without BatchNorm folding reproduces the
-// interpreter's logits bit for bit.
+// writes raw arena storage at pre-computed offsets, on the calling
+// thread. The per-step math mirrors the eval-mode Layer implementations
+// operation for operation, so a plan without BatchNorm folding
+// reproduces the interpreter's logits bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +38,8 @@ void execConv(const PlanStep &Step, const PlanBuffer &In,
 
   // The whole batched conv GEMM goes through the fused im2col+pack
   // engine: B panels come straight from the activation image, A panels
-  // are the step's freeze-time pre-packed weights, the split across
-  // samples/columns is chosen by the measured cost model, and the
-  // fused-ReLU epilogue rides each task. This is the same code path as
+  // are the step's freeze-time pre-packed weights, and the fused-ReLU
+  // epilogue rides each sample. This is the same code path as
   // the interpreter's eval forward, so plan and interpreter logits stay
   // bit-identical (modulo BatchNorm folding).
   convForwardFused(InBase, N, In.Height, In.Width, Step.Geometry,

@@ -10,10 +10,11 @@
 /// owns one Batcher: a small pool of worker threads that share the
 /// immutable plan, each batch running through a PlanContext borrowed
 /// from a ContextPool, so one hot model scales across workers instead of
-/// being pinned to a single thread. Workers coalesce concurrent predict
-/// requests into one NCHW batch, which is what lets HTTP traffic
-/// exercise the batch-parallel convolution kernels: when the first
-/// sample arrives a worker waits up to MaxWaitMicros for companions
+/// being pinned to a single thread; each worker runs the plan's kernels
+/// serially on its own thread. Workers coalesce concurrent predict
+/// requests into one NCHW batch, so one plan run serves several
+/// requests: when the first sample arrives a worker waits up to
+/// MaxWaitMicros for companions
 /// (bounded wait), cuts the batch at MaxBatch, runs the plan once, and
 /// fans the logit rows back out to the waiting request threads.
 ///

@@ -2,7 +2,6 @@
 
 #include "src/support/ThreadPool.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace wootz;
@@ -48,39 +47,6 @@ void ThreadPool::wait() {
     return;
   std::unique_lock<std::mutex> Lock(Mutex);
   AllDone.wait(Lock, [this] { return InFlight == 0; });
-}
-
-void ThreadPool::parallelFor(size_t Count,
-                             const std::function<void(size_t)> &Body) {
-  if (ThreadCount <= 1) {
-    for (size_t I = 0; I < Count; ++I)
-      Body(I);
-    return;
-  }
-  for (size_t I = 0; I < Count; ++I)
-    enqueue([&Body, I] { Body(I); });
-  wait();
-}
-
-void ThreadPool::parallelFor(size_t Count, size_t Grain,
-                             const std::function<void(size_t, size_t)> &Body) {
-  if (Count == 0)
-    return;
-  if (Grain == 0)
-    Grain = 1;
-  const size_t Chunks = (Count + Grain - 1) / Grain;
-  if (ThreadCount <= 1 || Chunks <= 1) {
-    // Same chunk decomposition as the parallel path so per-chunk
-    // reductions see identical groupings either way.
-    for (size_t Begin = 0; Begin < Count; Begin += Grain)
-      Body(Begin, std::min(Begin + Grain, Count));
-    return;
-  }
-  for (size_t Begin = 0; Begin < Count; Begin += Grain) {
-    const size_t End = std::min(Begin + Grain, Count);
-    enqueue([&Body, Begin, End] { Body(Begin, End); });
-  }
-  wait();
 }
 
 void ThreadPool::workerLoop() {

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size thread pool. The paper distributes pre-training and
-/// exploration over machines via MPI; this pool is the in-process
-/// substitute used when real (rather than simulated) parallelism is
-/// requested. With ThreadCount == 1 the pool degrades to inline execution.
+/// A fixed-size thread pool: the HTTP server runs its connection
+/// handlers on it. With ThreadCount == 0 the pool degrades to inline
+/// execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,23 +39,6 @@ public:
 
   /// Blocks until every enqueued task has finished.
   void wait();
-
-  /// Number of worker threads (0 for an inline pool).
-  unsigned threadCount() const { return ThreadCount; }
-
-  /// Runs \p Body(I) for I in [0, Count) across the pool and waits.
-  /// Dispatches one task per index; use the chunked overload for loops
-  /// whose per-index work is small.
-  void parallelFor(size_t Count, const std::function<void(size_t)> &Body);
-
-  /// Chunked overload: runs \p Body(Begin, End) over [0, Count) split
-  /// into chunks of at most \p Grain indices, one task per chunk, and
-  /// waits. Chunk boundaries depend only on \p Count and \p Grain (never
-  /// on the worker count), so callers that accumulate per-chunk state and
-  /// reduce it in chunk order get results that are bit-identical across
-  /// pool sizes. \p Grain == 0 is treated as 1.
-  void parallelFor(size_t Count, size_t Grain,
-                   const std::function<void(size_t, size_t)> &Body);
 
 private:
   void workerLoop();

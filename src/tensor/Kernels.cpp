@@ -1,11 +1,10 @@
 //===- tensor/Kernels.cpp --------------------------------------------------===//
 //
-// The blocked GEMM engine and the kernel threading substrate. The GEMM
-// follows the classic GotoBLAS/BLIS decomposition: loop over NC-wide
-// column blocks of C, KC-deep rank-k updates, and MC-tall row panels;
-// the operand slices are packed into contiguous aligned panels so the
-// innermost MR x NR micro-kernel runs on unit-stride data the compiler
-// can keep in vector registers.
+// The blocked GEMM engine. The GEMM follows the classic GotoBLAS/BLIS
+// decomposition: loop over NC-wide column blocks of C, KC-deep rank-k
+// updates, and MC-tall row panels; the operand slices are packed into
+// contiguous aligned panels so the innermost MR x NR micro-kernel runs
+// on unit-stride data the compiler can keep in vector registers.
 //
 // Convolution rides the same engine through convForwardFused(): the B
 // operand (the im2col matrix) is never materialized — packConvColsB()
@@ -13,149 +12,17 @@
 // arithmetic, so the only column-shaped traffic is the packed panel the
 // GEMM needed anyway.
 //
-// Whether any of this fans out to the worker pool is decided by a
-// measured cost model (kernelCostModel), calibrated once per worker
-// count: pool dispatch latency, serial GEMM throughput, and the
-// actually-achieved parallel speedup on this host. A split is chosen
-// only when the model predicts it wins, which keeps oversubscribed
-// single-core hosts at serial speed instead of paying handoff overhead
-// for nothing.
+// Everything here runs on the calling thread; concurrent callers keep
+// their pack panels in their own thread-local KernelScratch.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/tensor/Kernels.h"
 
-#include "src/support/ThreadPool.h"
-
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 
 using namespace wootz;
-
-//===----------------------------------------------------------------------===//
-// Kernel worker pool
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::mutex ConfigMutex;
-std::unique_ptr<ThreadPool> KernelPool; ///< Guarded by ConfigMutex.
-
-/// Set while the calling thread executes a kernelParallelFor body;
-/// nested kernel loops run inline on that thread.
-thread_local bool InKernelRegion = false;
-
-unsigned resolveWorkerRequest(unsigned Requested) {
-  if (Requested != 0)
-    return Requested;
-  const unsigned Hardware = std::thread::hardware_concurrency();
-  return Hardware != 0 ? Hardware : 1;
-}
-
-/// The configured worker count; initialized from WOOTZ_KERNEL_WORKERS
-/// on first use, serial by default. Guarded by ConfigMutex.
-unsigned &workerCountLocked() {
-  static unsigned Count = [] {
-    const char *Env = std::getenv("WOOTZ_KERNEL_WORKERS");
-    if (!Env)
-      return 1u;
-    std::string Warning;
-    const unsigned Parsed = parseKernelWorkers(Env, &Warning);
-    if (!Warning.empty())
-      std::fprintf(stderr, "wootz: %s\n", Warning.c_str());
-    return Parsed;
-  }();
-  return Count;
-}
-
-} // namespace
-
-unsigned wootz::parseKernelWorkers(const char *Text, std::string *Warning) {
-  const auto Fallback = [Warning](const std::string &Message) {
-    if (Warning)
-      *Warning = Message;
-    return 1u;
-  };
-  if (!Text || !*Text)
-    return Fallback("WOOTZ_KERNEL_WORKERS is empty; using 1 worker");
-  errno = 0;
-  char *End = nullptr;
-  const long long Value = std::strtoll(Text, &End, 10);
-  const bool Overflow = errno == ERANGE;
-  const bool NoDigits = End == Text;
-  while (End && (*End == ' ' || *End == '\t'))
-    ++End;
-  if (NoDigits || (End && *End != '\0'))
-    return Fallback(std::string("WOOTZ_KERNEL_WORKERS='") + Text +
-                    "' is not an integer; using 1 worker");
-  if (Overflow || Value < 0 || Value > 4096)
-    return Fallback(std::string("WOOTZ_KERNEL_WORKERS='") + Text +
-                    "' is outside [0, 4096] (0 = one worker per hardware "
-                    "thread); using 1 worker");
-  return resolveWorkerRequest(static_cast<unsigned>(Value));
-}
-
-void wootz::setKernelWorkers(unsigned Count) {
-  const unsigned Resolved = resolveWorkerRequest(Count);
-  std::lock_guard<std::mutex> Lock(ConfigMutex);
-  unsigned &Current = workerCountLocked();
-  if (Current == Resolved)
-    return;
-  KernelPool.reset(); // Drains; recreated lazily at the new size.
-  Current = Resolved;
-}
-
-unsigned wootz::kernelWorkers() {
-  std::lock_guard<std::mutex> Lock(ConfigMutex);
-  return workerCountLocked();
-}
-
-bool wootz::inKernelParallelRegion() { return InKernelRegion; }
-
-void wootz::kernelParallelFor(
-    size_t Count, size_t Grain,
-    const std::function<void(size_t, size_t)> &Body) {
-  if (Count == 0)
-    return;
-  if (Grain == 0)
-    Grain = 1;
-  const size_t Chunks = (Count + Grain - 1) / Grain;
-  ThreadPool *Pool = nullptr;
-  if (!InKernelRegion && Chunks > 1) {
-    std::lock_guard<std::mutex> Lock(ConfigMutex);
-    const unsigned Workers = workerCountLocked();
-    if (Workers > 1) {
-      if (!KernelPool)
-        KernelPool = std::make_unique<ThreadPool>(Workers);
-      Pool = KernelPool.get();
-    }
-  }
-  if (!Pool) {
-    // Inline, but over the identical chunk decomposition so per-chunk
-    // reductions group the same way as in the parallel path.
-    const bool Saved = InKernelRegion;
-    InKernelRegion = true;
-    for (size_t Begin = 0; Begin < Count; Begin += Grain)
-      Body(Begin, std::min(Begin + Grain, Count));
-    InKernelRegion = Saved;
-    return;
-  }
-  Pool->parallelFor(Count, Grain, [&Body](size_t Begin, size_t End) {
-    const bool Saved = InKernelRegion;
-    InKernelRegion = true;
-    Body(Begin, End);
-    InKernelRegion = Saved;
-  });
-}
 
 KernelScratch &KernelScratch::forCurrentThread() {
   static thread_local KernelScratch Instance;
@@ -362,196 +229,6 @@ PackedPanels wootz::packGemmB(const float *B, size_t RowStride,
 }
 
 //===----------------------------------------------------------------------===//
-// Measured-cost threading heuristic
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::mutex CostMutex;
-/// Calibrated models per worker count. Guarded by CostMutex.
-std::map<unsigned, KernelCostModel> CostModels;
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-double medianOf(std::vector<double> Values) {
-  std::sort(Values.begin(), Values.end());
-  return Values[Values.size() / 2];
-}
-
-/// Measures the cost model for \p Workers. The probes are sized like the
-/// conv GEMMs the model gates: big enough to be timeable, small enough
-/// that the whole calibration stays in the tens of milliseconds.
-KernelCostModel calibrate(unsigned Workers) {
-  KernelCostModel Model;
-  Model.Workers = Workers;
-
-  // Serial GEMM throughput: one row block high (M <= MC), so the probe
-  // runs inline regardless of the pool and never recurses into the
-  // heuristic it is calibrating.
-  constexpr int CalM = 64, CalK = 192, CalN = 192;
-  std::vector<float, AlignedAllocator<float>> A(
-      static_cast<size_t>(CalM) * CalK),
-      B(static_cast<size_t>(CalK) * CalN),
-      C(static_cast<size_t>(CalM) * CalN);
-  for (size_t I = 0; I < A.size(); ++I)
-    A[I] = static_cast<float>((I % 13) + 1) * 0.125f;
-  for (size_t I = 0; I < B.size(); ++I)
-    B[I] = static_cast<float>((I % 7) + 1) * 0.25f;
-  const auto RunProbeGemm = [&] {
-    detail::blockedGemm(A.data(), CalK, 1, B.data(), CalN, 1, C.data(),
-                        CalM, CalK, CalN, /*Accumulate=*/false,
-                        /*RowBias=*/nullptr);
-  };
-  RunProbeGemm(); // Warmup: pack scratch, page faults.
-  std::vector<double> GemmTimes;
-  for (int Rep = 0; Rep < 5; ++Rep) {
-    const auto Start = std::chrono::steady_clock::now();
-    RunProbeGemm();
-    GemmTimes.push_back(secondsSince(Start));
-  }
-  const double ProbeFlops = 2.0 * CalM * CalK * CalN;
-  Model.SecondsPerFlop = medianOf(GemmTimes) / ProbeFlops;
-
-  if (Workers <= 1)
-    return Model;
-
-  // Pool dispatch latency: the round trip of a parallelFor whose chunks
-  // do nothing, so all that is measured is enqueue + wake + join.
-  kernelParallelFor(Workers, 1, [](size_t, size_t) {}); // Spin up.
-  std::vector<double> DispatchTimes;
-  for (int Rep = 0; Rep < 33; ++Rep) {
-    const auto Start = std::chrono::steady_clock::now();
-    kernelParallelFor(Workers, 1, [](size_t, size_t) {});
-    DispatchTimes.push_back(secondsSince(Start));
-  }
-  Model.DispatchSeconds = medianOf(DispatchTimes);
-
-  // Achieved parallel speedup: the same batch of conv-sized GEMM tasks
-  // run inline and on the pool. On a host with fewer cores than workers
-  // this comes out below 1 — the signal that fanning out loses.
-  const size_t Tasks = 2 * static_cast<size_t>(Workers);
-  std::vector<float, AlignedAllocator<float>> TaskC(
-      static_cast<size_t>(CalM) * CalN * Tasks);
-  const auto RunTask = [&](size_t Task) {
-    detail::blockedGemm(A.data(), CalK, 1, B.data(), CalN, 1,
-                        TaskC.data() +
-                            Task * static_cast<size_t>(CalM) * CalN,
-                        CalM, CalK, CalN, /*Accumulate=*/false,
-                        /*RowBias=*/nullptr);
-  };
-  std::vector<double> SerialTimes, PooledTimes;
-  for (int Rep = 0; Rep < 3; ++Rep) {
-    auto Start = std::chrono::steady_clock::now();
-    for (size_t Task = 0; Task < Tasks; ++Task)
-      RunTask(Task);
-    SerialTimes.push_back(secondsSince(Start));
-    Start = std::chrono::steady_clock::now();
-    kernelParallelFor(Tasks, 1, [&](size_t Begin, size_t End) {
-      for (size_t Task = Begin; Task < End; ++Task)
-        RunTask(Task);
-    });
-    PooledTimes.push_back(secondsSince(Start));
-  }
-  const double Pooled = medianOf(PooledTimes);
-  Model.ParallelSpeedup =
-      Pooled > 0.0 ? medianOf(SerialTimes) / Pooled : 1.0;
-  return Model;
-}
-
-/// The core go/no-go: fanning \p Flops out must save more wall clock
-/// (per the measured speedup) than a few pool handoffs cost.
-bool worthSplitting(const KernelCostModel &Model, double Flops) {
-  if (Model.Workers <= 1 || Model.ParallelSpeedup < 1.15)
-    return false;
-  const double SerialSeconds = Flops * Model.SecondsPerFlop;
-  const double Saved = SerialSeconds * (1.0 - 1.0 / Model.ParallelSpeedup);
-  return Saved > 3.0 * Model.DispatchSeconds;
-}
-
-} // namespace
-
-KernelCostModel wootz::kernelCostModel() {
-  const unsigned Workers = kernelWorkers();
-  {
-    std::lock_guard<std::mutex> Lock(CostMutex);
-    auto It = CostModels.find(Workers);
-    if (It != CostModels.end())
-      return It->second;
-  }
-  // Calibrate outside the lock (tens of milliseconds); a concurrent
-  // first caller at the same count just measures twice and the first
-  // insert wins.
-  const KernelCostModel Model = calibrate(Workers);
-  std::lock_guard<std::mutex> Lock(CostMutex);
-  return CostModels.emplace(Workers, Model).first->second;
-}
-
-bool wootz::parallelWorthwhile(double Flops) {
-  // Inside a parallel region a nested loop runs inline whatever we
-  // answer, so say yes and let kernelParallelFor handle it.
-  if (InKernelRegion)
-    return true;
-  return worthSplitting(kernelCostModel(), Flops);
-}
-
-const char *wootz::convSplitKindName(ConvSplitKind Kind) {
-  switch (Kind) {
-  case ConvSplitKind::Serial:
-    return "serial";
-  case ConvSplitKind::InterOp:
-    return "inter_op";
-  case ConvSplitKind::IntraOp:
-    return "intra_op";
-  }
-  return "unknown";
-}
-
-ConvSplit wootz::chooseConvSplit(int Batch, int M, int K, int ColCols) {
-  ConvSplit Split;
-  Split.ColumnChunk = ColCols;
-  Split.Tasks = static_cast<size_t>(Batch);
-  if (InKernelRegion)
-    return Split; // Would run inline anyway.
-  const KernelCostModel Model = kernelCostModel();
-  const double Flops =
-      2.0 * Batch * M * static_cast<double>(K) * ColCols;
-  if (!worthSplitting(Model, Flops))
-    return Split;
-  if (static_cast<unsigned>(Batch) >= Model.Workers) {
-    // Samples alone keep every worker busy.
-    Split.Kind = ConvSplitKind::InterOp;
-    return Split;
-  }
-  // Small batch: additionally chunk the output columns so the task
-  // count reaches ~two waves over the pool. Chunks are NR-aligned
-  // (panel boundaries are unchanged, so outputs stay bit-identical)
-  // and each chunk must still clearly out-work a pool handoff.
-  const size_t TargetTasks = 2 * static_cast<size_t>(Model.Workers);
-  const size_t PerSample =
-      (TargetTasks + static_cast<size_t>(Batch) - 1) / Batch;
-  size_t Chunk = roundUpTo(
-      static_cast<int>((ColCols + PerSample - 1) / PerSample), NR);
-  while (static_cast<int>(Chunk) < ColCols &&
-         2.0 * M * static_cast<double>(K) * Chunk * Model.SecondsPerFlop <
-             4.0 * Model.DispatchSeconds)
-    Chunk *= 2;
-  if (static_cast<int>(Chunk) >= ColCols) {
-    Split.Kind =
-        Batch > 1 ? ConvSplitKind::InterOp : ConvSplitKind::Serial;
-    return Split;
-  }
-  Split.Kind = ConvSplitKind::IntraOp;
-  Split.ColumnChunk = static_cast<int>(Chunk);
-  Split.Tasks = static_cast<size_t>(Batch) *
-                ((static_cast<size_t>(ColCols) + Chunk - 1) / Chunk);
-  return Split;
-}
-
-//===----------------------------------------------------------------------===//
 // Fused im2col+pack convolution
 //===----------------------------------------------------------------------===//
 
@@ -663,23 +340,20 @@ void packConvColsB(const float *Image, int Height, int Width,
   }
 }
 
-/// One fused conv task: all OutChannels rows of output columns
-/// [Col0, Col0 + Cols) of one sample. Runs entirely on the calling
-/// thread (tasks never nest parallel loops), using that thread's
-/// scratch for the panels.
-void convTask(const float *Image, int Height, int Width,
-              const ConvGeometry &G, int OutW, int M, int K, int ColCols,
-              const PackedPanels *APre, const float *Weights,
-              const float *Bias, bool FuseReLU, int Col0, int Cols,
-              float *OutSample) {
+/// The fused conv of one sample: all OutChannels rows of all ColCols
+/// output columns, using the calling thread's scratch for the panels.
+void convSample(const float *Image, int Height, int Width,
+                const ConvGeometry &G, int OutW, int M, int K, int ColCols,
+                const PackedPanels *APre, const float *Weights,
+                const float *Bias, bool FuseReLU, float *OutSample) {
   KernelScratch &Local = KernelScratch::forCurrentThread();
-  for (int CBlock = Col0; CBlock < Col0 + Cols; CBlock += NC) {
-    const int NBlock = std::min(NC, Col0 + Cols - CBlock);
+  for (int CBlock = 0; CBlock < ColCols; CBlock += NC) {
+    const int NBlock = std::min(NC, ColCols - CBlock);
     for (int Depth0 = 0; Depth0 < K; Depth0 += KC) {
       const int KBlock = std::min(KC, K - Depth0);
       // Only the first KC slice overwrites C (and carries the fused
-      // bias); later slices accumulate. Per C element the K summation
-      // order is fixed, so results never depend on the split.
+      // bias); later slices accumulate, so per C element the K
+      // summation order is fixed.
       const bool Add = Depth0 > 0;
       const float *BlockBias = Add ? nullptr : Bias;
       float *BPack = Local.PackB.ensure(roundUpTo(NBlock, NR) *
@@ -709,8 +383,8 @@ void convTask(const float *Image, int Height, int Width,
   }
   if (FuseReLU) {
     for (int Row = 0; Row < M; ++Row) {
-      float *CRow = OutSample + static_cast<size_t>(Row) * ColCols + Col0;
-      for (int J = 0; J < Cols; ++J)
+      float *CRow = OutSample + static_cast<size_t>(Row) * ColCols;
+      for (int J = 0; J < ColCols; ++J)
         CRow[J] = CRow[J] > 0.0f ? CRow[J] : 0.0f;
     }
   }
@@ -722,8 +396,7 @@ void wootz::convForwardFused(const float *Images, int Batch, int Height,
                              int Width, const ConvGeometry &G,
                              const PackedPanels *WeightsPre,
                              const float *Weights, const float *Bias,
-                             bool FuseReLU, float *Out,
-                             const ConvSplit *ForcedSplit) {
+                             bool FuseReLU, float *Out) {
   const int OutH = G.outExtent(Height);
   const int OutW = G.outExtent(Width);
   const int M = G.OutChannels;
@@ -737,35 +410,10 @@ void wootz::convForwardFused(const float *Images, int Batch, int Height,
   const size_t InPlane =
       static_cast<size_t>(G.InChannels) * Height * Width;
   const size_t OutPlane = static_cast<size_t>(M) * ColCols;
-
-  const ConvSplit Split =
-      ForcedSplit ? *ForcedSplit : chooseConvSplit(Batch, M, K, ColCols);
-  int Chunk =
-      Split.Kind == ConvSplitKind::IntraOp ? Split.ColumnChunk : ColCols;
-  if (Chunk <= 0 || Chunk > ColCols)
-    Chunk = ColCols;
-  const size_t ChunksPerSample =
-      (static_cast<size_t>(ColCols) + Chunk - 1) / Chunk;
-  const size_t Tasks = ChunksPerSample * static_cast<size_t>(Batch);
-
-  const auto RunTask = [&](size_t Task) {
-    const size_t Sample = Task / ChunksPerSample;
-    const int Col0 =
-        static_cast<int>(Task % ChunksPerSample) * Chunk;
-    const int Cols = std::min(Chunk, ColCols - Col0);
-    convTask(Images + Sample * InPlane, Height, Width, G, OutW, M, K,
-             ColCols, WeightsPre, Weights, Bias, FuseReLU, Col0, Cols,
-             Out + Sample * OutPlane);
-  };
-  if (Split.Kind == ConvSplitKind::Serial || Tasks == 1) {
-    for (size_t Task = 0; Task < Tasks; ++Task)
-      RunTask(Task);
-    return;
-  }
-  kernelParallelFor(Tasks, 1, [&](size_t Begin, size_t End) {
-    for (size_t Task = Begin; Task < End; ++Task)
-      RunTask(Task);
-  });
+  for (int Sample = 0; Sample < Batch; ++Sample)
+    convSample(Images + Sample * InPlane, Height, Width, G, OutW, M, K,
+               ColCols, WeightsPre, Weights, Bias, FuseReLU,
+               Out + Sample * OutPlane);
 }
 
 //===----------------------------------------------------------------------===//
@@ -785,35 +433,26 @@ void detail::blockedGemmPacked(const PackedPanels *APre, const float *A,
          "packed A extents mismatch");
   assert((!BPre || (BPre->Extent == N && BPre->Depth == K)) &&
          "packed B extents mismatch");
-  // One adaptive decision per call: fan row blocks out only when the
-  // work in one (NC, KC) region clears the measured handoff cost. A
-  // serial decision keeps the identical chunk decomposition (grain =
-  // all blocks), so outputs are unchanged either way.
-  const size_t RowBlocksTotal = (static_cast<size_t>(M) + MC - 1) / MC;
-  const bool UsePool =
-      RowBlocksTotal > 1 &&
-      parallelWorthwhile(2.0 * M * static_cast<double>(std::min(K, KC)) *
-                         std::min(N, NC));
+  KernelScratch &Local = KernelScratch::forCurrentThread();
   for (int Col0 = 0; Col0 < N; Col0 += NC) {
     const int NBlock = std::min(NC, N - Col0);
     for (int Depth0 = 0; Depth0 < K; Depth0 += KC) {
       const int KBlock = std::min(KC, K - Depth0);
       // Only the first KC slice of a fresh product overwrites C (and
-      // carries the fused bias); later slices accumulate. Per C element
-      // the K summation order is fixed, so results never depend on the
-      // worker count.
+      // carries the fused bias); later slices accumulate, so per C
+      // element the K summation order is fixed.
       const bool Add = Accumulate || Depth0 > 0;
       const float *BlockBias = Add ? nullptr : RowBias;
 
-      // B's panel is packed once by the calling thread and read by every
-      // row-panel task; A's panels are packed per task into that
-      // worker's own scratch. Pre-packed operands skip both steps.
+      // B's panel is packed once per (NC, KC) region and read by every
+      // MC row block; A's panels are packed per row block. Pre-packed
+      // operands skip both steps.
       const float *BPack;
       if (BPre) {
         BPack = BPre->Data.data() + static_cast<size_t>(K) * Col0 +
                 roundUpTo(NBlock, NR) * Depth0;
       } else {
-        float *Scratch = KernelScratch::forCurrentThread().PackB.ensure(
+        float *Scratch = Local.PackB.ensure(
             roundUpTo(NBlock, NR) * static_cast<size_t>(KBlock));
         packBPanels(B + static_cast<size_t>(Depth0) * BRowStride +
                         static_cast<size_t>(Col0) * BColStride,
@@ -821,33 +460,25 @@ void detail::blockedGemmPacked(const PackedPanels *APre, const float *A,
         BPack = Scratch;
       }
 
-      const size_t RowBlocks = (static_cast<size_t>(M) + MC - 1) / MC;
-      kernelParallelFor(
-          RowBlocks, UsePool ? 1 : RowBlocks,
-          [&](size_t Begin, size_t End) {
-            KernelScratch &Local = KernelScratch::forCurrentThread();
-            for (size_t Block = Begin; Block < End; ++Block) {
-              const int Row0 = static_cast<int>(Block) * MC;
-              const int MBlock = std::min(MC, M - Row0);
-              const float *APack;
-              if (APre) {
-                APack = APre->Data.data() + paddedARows(M) * Depth0 +
-                        static_cast<size_t>(Row0) * KBlock;
-              } else {
-                float *Scratch = Local.PackA.ensure(
-                    roundUpTo(MBlock, MR) * static_cast<size_t>(KBlock));
-                packAPanels(A + static_cast<size_t>(Row0) * ARowStride +
-                                static_cast<size_t>(Depth0) * AColStride,
-                            ARowStride, AColStride, MBlock, KBlock,
-                            Scratch);
-                APack = Scratch;
-              }
-              macroKernel(MBlock, NBlock, KBlock, APack, BPack,
-                          C + static_cast<size_t>(Row0) * N + Col0,
-                          static_cast<size_t>(N), Add,
-                          BlockBias ? BlockBias + Row0 : nullptr);
-            }
-          });
+      for (int Row0 = 0; Row0 < M; Row0 += MC) {
+        const int MBlock = std::min(MC, M - Row0);
+        const float *APack;
+        if (APre) {
+          APack = APre->Data.data() + paddedARows(M) * Depth0 +
+                  static_cast<size_t>(Row0) * KBlock;
+        } else {
+          float *Scratch = Local.PackA.ensure(roundUpTo(MBlock, MR) *
+                                              static_cast<size_t>(KBlock));
+          packAPanels(A + static_cast<size_t>(Row0) * ARowStride +
+                          static_cast<size_t>(Depth0) * AColStride,
+                      ARowStride, AColStride, MBlock, KBlock, Scratch);
+          APack = Scratch;
+        }
+        macroKernel(MBlock, NBlock, KBlock, APack, BPack,
+                    C + static_cast<size_t>(Row0) * N + Col0,
+                    static_cast<size_t>(N), Add,
+                    BlockBias ? BlockBias + Row0 : nullptr);
+      }
     }
   }
 }

@@ -8,11 +8,10 @@
 /// The numeric kernels under the nn layer implementations: GEMM,
 /// im2col/col2im for convolution, and the elementwise/axpy helpers.
 /// The GEMM entry points dispatch to the cache-blocked, register-tiled
-/// (and optionally multi-threaded) engine in tensor/Kernels.h once the
-/// problem is big enough to amortize panel packing; tiny problems fall
-/// back to the reference triple loops, which are also exported
-/// (gemmReference and friends) as the oracle for parity tests and the
-/// baseline for bench_kernels.
+/// engine in tensor/Kernels.h once the problem is big enough to
+/// amortize panel packing; tiny problems fall back to the reference
+/// triple loops, which are also exported (gemmReference and friends) as
+/// the oracle for parity tests and the baseline for bench_kernels.
 ///
 //===----------------------------------------------------------------------===//
 

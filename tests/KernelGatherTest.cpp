@@ -8,16 +8,8 @@
 // pre-seeded with -0.0f and nonzero values, and every comparison is a
 // memcmp. (Named Kernel* so the sanitizer presets' filters run them.)
 //
-// Also pins that a one-worker kernel pool never splits: the serving
-// daemon runs with the default single worker, so no cost-model
-// calibration can change how its convolutions execute.
-//
 //===----------------------------------------------------------------------===//
 
-#include "src/compiler/Multiplexing.h"
-#include "src/compiler/NetsFactory.h"
-#include "src/models/MiniModels.h"
-#include "src/nn/Graph.h"
 #include "src/nn/Layers.h"
 #include "src/tensor/Kernels.h"
 #include "src/tensor/Ops.h"
@@ -450,7 +442,6 @@ TEST(KernelGatherTest, ReluMatchesConditionalLoops) {
 TEST(KernelGatherTest, FusedConvPacksMultiRowPanelsLikeMaterializedIm2col) {
   // OutW below NR = 16 makes every panel span several output rows;
   // above it, panels straddle one row boundary.
-  const ConvSplit Serial;
   int Cases = 0;
   for (int Kernel = 1; Kernel <= 5; ++Kernel)
     for (int Stride = 1; Stride <= 3; ++Stride)
@@ -490,7 +481,7 @@ TEST(KernelGatherTest, FusedConvPacksMultiRowPanelsLikeMaterializedIm2col) {
           std::vector<float> Actual(Batch * OutPlane);
           convForwardFused(Images.data(), Batch, Extent, Extent, G, nullptr,
                            Weights.data(), Bias.data(), /*FuseReLU=*/false,
-                           Actual.data(), &Serial);
+                           Actual.data());
           expectSameBits(Expected, Actual.data(),
                          describe("fused conv", Kernel, Stride, Pad, Extent,
                                   Extent));
@@ -506,7 +497,7 @@ TEST(KernelGatherTest, EvalConvForwardMatchesMaterializedIm2colAtBatch1And64) {
   // The eval forward packs the weight panels once per call and shares
   // them across the whole batch; every sample must still come out as
   // the blocked GEMM over its own materialized im2col matrix, for any
-  // batch and worker count.
+  // batch.
   struct EvalCase {
     ConvGeometry G;
     bool HasBias;
@@ -516,53 +507,49 @@ TEST(KernelGatherTest, EvalConvForwardMatchesMaterializedIm2colAtBatch1And64) {
                             EvalCase{{8, 16, 3, 2, 1}, true},
                             EvalCase{{16, 12, 1, 1, 0}, false},
                             EvalCase{{4, 6, 5, 1, 2}, true}})
-    for (int Batch : {1, 64})
-      for (unsigned Workers : {1u, 4u}) {
-        ++Cases;
-        setKernelWorkers(Workers);
-        const ConvGeometry &G = C.G;
-        const int Height = 8, Width = 8;
-        const int OutH = G.outExtent(Height), OutW = G.outExtent(Width);
-        const int ColRows = G.InChannels * G.KernelSize * G.KernelSize;
-        const int ColCols = OutH * OutW;
-        const size_t InPlane =
-            static_cast<size_t>(G.InChannels) * Height * Width;
-        const size_t OutPlane = static_cast<size_t>(G.OutChannels) * ColCols;
-        Conv2D Conv(G, C.HasBias);
-        Rng Generator(60 + Cases);
-        Conv.initParams(Generator);
-        const float *Bias = nullptr;
-        if (Param *B = Conv.bias()) {
-          for (size_t I = 0; I < B->Value.size(); ++I)
-            B->Value[I] = 0.125f * static_cast<float>(I);
-          Bias = B->Value.data();
-        }
-        const std::vector<float> Images = mixedValues(Batch * InPlane, Cases);
-
-        std::vector<float> Columns(static_cast<size_t>(ColRows) * ColCols);
-        std::vector<float> Expected(Batch * OutPlane);
-        for (int S = 0; S < Batch; ++S) {
-          im2colOracle(Images.data() + S * InPlane, G.InChannels, Height,
-                       Width, G, Columns.data());
-          detail::blockedGemm(Conv.weight().Value.data(),
-                              static_cast<size_t>(ColRows), 1,
-                              Columns.data(), static_cast<size_t>(ColCols), 1,
-                              Expected.data() + S * OutPlane, G.OutChannels,
-                              ColRows, ColCols, /*Accumulate=*/false, Bias);
-        }
-
-        Tensor In(Shape{Batch, G.InChannels, Height, Width});
-        std::memcpy(In.data(), Images.data(), Images.size() * sizeof(float));
-        Tensor Out(Conv.outputShape({In.shape()}));
-        LayerScratch Scratch;
-        Conv.forward({&In}, Out, Scratch, /*Training=*/false);
-        expectSameBits(Expected, Out.data(),
-                       describe("eval conv", G.KernelSize, G.Stride, G.Pad,
-                                Height, Width) +
-                           " batch " + std::to_string(Batch) + ", " +
-                           std::to_string(Workers) + " workers");
+    for (int Batch : {1, 64}) {
+      ++Cases;
+      const ConvGeometry &G = C.G;
+      const int Height = 8, Width = 8;
+      const int OutH = G.outExtent(Height), OutW = G.outExtent(Width);
+      const int ColRows = G.InChannels * G.KernelSize * G.KernelSize;
+      const int ColCols = OutH * OutW;
+      const size_t InPlane =
+          static_cast<size_t>(G.InChannels) * Height * Width;
+      const size_t OutPlane = static_cast<size_t>(G.OutChannels) * ColCols;
+      Conv2D Conv(G, C.HasBias);
+      Rng Generator(60 + Cases);
+      Conv.initParams(Generator);
+      const float *Bias = nullptr;
+      if (Param *B = Conv.bias()) {
+        for (size_t I = 0; I < B->Value.size(); ++I)
+          B->Value[I] = 0.125f * static_cast<float>(I);
+        Bias = B->Value.data();
       }
-  setKernelWorkers(1);
+      const std::vector<float> Images = mixedValues(Batch * InPlane, Cases);
+
+      std::vector<float> Columns(static_cast<size_t>(ColRows) * ColCols);
+      std::vector<float> Expected(Batch * OutPlane);
+      for (int S = 0; S < Batch; ++S) {
+        im2colOracle(Images.data() + S * InPlane, G.InChannels, Height,
+                     Width, G, Columns.data());
+        detail::blockedGemm(Conv.weight().Value.data(),
+                            static_cast<size_t>(ColRows), 1,
+                            Columns.data(), static_cast<size_t>(ColCols), 1,
+                            Expected.data() + S * OutPlane, G.OutChannels,
+                            ColRows, ColCols, /*Accumulate=*/false, Bias);
+      }
+
+      Tensor In(Shape{Batch, G.InChannels, Height, Width});
+      std::memcpy(In.data(), Images.data(), Images.size() * sizeof(float));
+      Tensor Out(Conv.outputShape({In.shape()}));
+      LayerScratch Scratch;
+      Conv.forward({&In}, Out, Scratch, /*Training=*/false);
+      expectSameBits(Expected, Out.data(),
+                     describe("eval conv", G.KernelSize, G.Stride, G.Pad,
+                              Height, Width) +
+                         " batch " + std::to_string(Batch));
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -623,7 +610,6 @@ ConvRun pointwiseOracle(const ConvGeometry &G, int Batch, int Height,
 }
 
 TEST(KernelGatherTest, PointwiseConvMatchesMaterializedIm2colPath) {
-  setKernelWorkers(1);
   // The first product stays under the blocked engine's threshold (the
   // reference loops run); the second runs the blocked engine.
   for (const ConvGeometry G : {ConvGeometry{6, 5, 1, 1, 0},
@@ -685,47 +671,6 @@ TEST(KernelGatherTest, PointwiseConvMatchesMaterializedIm2colPath) {
     expectSameBits(Expected.BiasGrad, Conv.bias()->Grad.data(),
                    What + " bias grad");
   }
-}
-
-//===----------------------------------------------------------------------===//
-// The serial kernel pool never splits
-//===----------------------------------------------------------------------===//
-
-TEST(KernelSerialPoolTest, OneWorkerNeverSplitsAnyMiniModelConv) {
-  setKernelWorkers(1);
-  EXPECT_FALSE(parallelWorthwhile(1e12));
-  int Convs = 0;
-  for (StandardModel Which : standardModels()) {
-    Result<ModelSpec> Spec = makeStandardModel(Which, 4);
-    ASSERT_TRUE(static_cast<bool>(Spec)) << Spec.message();
-    const MultiplexingModel Model(Spec.take());
-    Graph Network;
-    Rng Generator(3);
-    Result<BuildResult> Built = Model.build(
-        Network, BuildMode::FullModel, PruneInfo(), "full", Generator);
-    ASSERT_TRUE(static_cast<bool>(Built)) << Built.message();
-    Network.initParams(Generator);
-    ExecContext Ctx(Network);
-    Ctx.setInput("data", Tensor(Shape{1, 3, 8, 8}));
-    Ctx.forward(Network, /*Training=*/false);
-    for (const std::string &Name : Network.nodeNames()) {
-      const auto *Conv = dynamic_cast<const Conv2D *>(Network.findLayer(Name));
-      if (!Conv)
-        continue;
-      ++Convs;
-      const ConvGeometry &G = Conv->geometry();
-      const Shape &In = Ctx.activation(Network.nodeInputs(Name)[0]).shape();
-      const int ColCols = G.outExtent(In[2]) * G.outExtent(In[3]);
-      for (int Batch : {1, 8, 64})
-        EXPECT_EQ(chooseConvSplit(Batch, G.OutChannels,
-                                  G.InChannels * G.KernelSize * G.KernelSize,
-                                  ColCols)
-                      .Kind,
-                  ConvSplitKind::Serial)
-            << standardModelName(Which) << " " << Name << " batch " << Batch;
-    }
-  }
-  EXPECT_GT(Convs, 0);
 }
 
 } // namespace

@@ -493,78 +493,14 @@ TEST(GraphDotTest, EmitsNodesEdgesAndFreezeStyle) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Kernel-threaded Conv2D (appended tests)
+// Conv2D eval scratch (appended tests)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Batch-parallel Conv2D must stay bit-identical across kernel worker
-/// counts and must not keep the full-batch im2col buffer outside
-/// training. (Named Kernel* so the tsan preset's filter covers the
-/// threaded paths.)
-class KernelConvTest : public ::testing::Test {
-protected:
-  void TearDown() override { setKernelWorkers(1); }
-
-  struct Run {
-    Tensor Out;
-    Tensor GradIn;
-    std::vector<Tensor> ParamGrads;
-  };
-
-  /// Forward + backward at the given worker count, returning everything
-  /// the layer produced.
-  static Run runConv(Conv2D &Conv, const Tensor &In, unsigned Workers) {
-    setKernelWorkers(Workers);
-    Run Result;
-    Result.Out = Tensor(Conv.outputShape({In.shape()}));
-    Result.GradIn = Tensor(In.shape());
-    LayerScratch Scratch;
-    const std::vector<const Tensor *> Inputs{&In};
-    Conv.forward(Inputs, Result.Out, Scratch, /*Training=*/true);
-
-    Tensor GradOut(Result.Out.shape());
-    Rng GradGen(99);
-    for (size_t I = 0; I < GradOut.size(); ++I)
-      GradOut[I] = GradGen.nextGaussian();
-    for (Param *P : Conv.params())
-      P->Grad.zero();
-    std::vector<Tensor *> GradInputs{&Result.GradIn};
-    Conv.backward(Inputs, Result.Out, GradOut, Scratch, GradInputs);
-    for (Param *P : Conv.params())
-      Result.ParamGrads.push_back(P->Grad);
-    return Result;
-  }
-
-  static void expectBitIdentical(const Tensor &A, const Tensor &B,
-                                 const char *What) {
-    ASSERT_EQ(A.shape(), B.shape()) << What;
-    ASSERT_EQ(std::memcmp(A.data(), B.data(), A.size() * sizeof(float)), 0)
-        << What << " differs across kernel worker counts";
-  }
-};
-
-TEST_F(KernelConvTest, ForwardBackwardBitIdenticalAcrossWorkers) {
-  Conv2D Conv(ConvGeometry{3, 8, 3, 1, 1});
-  Rng Generator(7);
-  Conv.initParams(Generator);
-  Tensor In(Shape{6, 3, 9, 9});
-  for (size_t I = 0; I < In.size(); ++I)
-    In[I] = Generator.nextGaussian();
-
-  const Run Serial = runConv(Conv, In, 1);
-  for (unsigned Workers : {2u, 4u}) {
-    const Run Threaded = runConv(Conv, In, Workers);
-    expectBitIdentical(Serial.Out, Threaded.Out, "conv output");
-    expectBitIdentical(Serial.GradIn, Threaded.GradIn, "conv input grad");
-    ASSERT_EQ(Serial.ParamGrads.size(), Threaded.ParamGrads.size());
-    for (size_t I = 0; I < Serial.ParamGrads.size(); ++I)
-      expectBitIdentical(Serial.ParamGrads[I], Threaded.ParamGrads[I],
-                         "conv param grad");
-  }
-}
-
-TEST_F(KernelConvTest, EvalForwardMatchesTrainingAndReleasesScratch) {
+/// An eval forward must not keep the full-batch im2col buffer that a
+/// training forward left behind.
+TEST(KernelConvTest, EvalForwardMatchesTrainingAndReleasesScratch) {
   Conv2D Conv(ConvGeometry{2, 4, 3, 1, 1});
   Rng Generator(11);
   Conv.initParams(Generator);

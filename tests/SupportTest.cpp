@@ -243,88 +243,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(Counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool Pool(2);
-  std::vector<std::atomic<int>> Hits(50);
-  Pool.parallelFor(50, [&](size_t I) { ++Hits[I]; });
-  for (const auto &Hit : Hits)
-    EXPECT_EQ(Hit.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForWithZeroCountIsANoOp) {
-  ThreadPool Pool(2);
-  // Atomic: both workers may run iterations of the second loop at once.
-  std::atomic<int> Calls{0};
-  Pool.parallelFor(0, [&](size_t) { ++Calls; });
-  EXPECT_EQ(Calls.load(), 0);
-  // The pool must still be usable afterwards.
-  Pool.parallelFor(3, [&](size_t) { ++Calls; });
-  Pool.wait();
-  EXPECT_EQ(Calls.load(), 3);
-}
-
-TEST(ThreadPoolTest, InlinePoolParallelForCoversRangeInOrder) {
-  ThreadPool Pool(0);
-  EXPECT_EQ(Pool.threadCount(), 0u);
-  std::vector<size_t> Seen;
-  Pool.parallelFor(5, [&](size_t I) { Seen.push_back(I); });
-  EXPECT_EQ(Seen, (std::vector<size_t>{0, 1, 2, 3, 4}));
-  Pool.wait(); // wait() on an inline pool is a harmless no-op.
-}
-
-TEST(ThreadPoolTest, ChunkedParallelForCoversRangeDisjointly) {
-  // Odd Count/Grain combinations, threaded and inline pools. Every index
-  // must be hit exactly once, chunks must respect the grain, and the
-  // dispatch must be per-chunk (ceil(Count/Grain) invocations), not
-  // per-index.
-  for (size_t Threads : {0u, 4u}) {
-    ThreadPool Pool(Threads);
-    for (auto [Count, Grain] : std::initializer_list<std::pair<size_t, size_t>>{
-             {0, 3}, {1, 3}, {7, 3}, {9, 3}, {10, 1}, {5, 8}, {64, 16}}) {
-      std::vector<std::atomic<int>> Hits(Count);
-      std::atomic<size_t> Invocations{0};
-      Pool.parallelFor(Count, Grain, [&](size_t Begin, size_t End) {
-        ++Invocations;
-        ASSERT_LT(Begin, End);
-        ASSERT_LE(End, Count);
-        ASSERT_LE(End - Begin, Grain);
-        for (size_t I = Begin; I < End; ++I)
-          ++Hits[I];
-      });
-      const size_t ExpectedChunks = (Count + Grain - 1) / Grain;
-      EXPECT_EQ(Invocations.load(), ExpectedChunks)
-          << "Threads=" << Threads << " Count=" << Count
-          << " Grain=" << Grain;
-      for (size_t I = 0; I < Count; ++I)
-        EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ChunkedParallelForZeroGrainBehavesAsGrainOne) {
-  ThreadPool Pool(2);
-  std::atomic<size_t> Invocations{0};
-  std::atomic<size_t> Covered{0};
-  Pool.parallelFor(6, 0, [&](size_t Begin, size_t End) {
-    ++Invocations;
-    Covered += End - Begin;
-  });
-  EXPECT_EQ(Invocations.load(), 6u);
-  EXPECT_EQ(Covered.load(), 6u);
-}
-
-TEST(ThreadPoolTest, ChunkedParallelForInlineRunsInChunkOrder) {
-  // The inline path must walk the exact same chunk decomposition as the
-  // threaded one so per-chunk reductions are bit-identical either way.
-  ThreadPool Pool(0);
-  std::vector<std::pair<size_t, size_t>> Chunks;
-  Pool.parallelFor(10, 4, [&](size_t Begin, size_t End) {
-    Chunks.emplace_back(Begin, End);
-  });
-  EXPECT_EQ(Chunks, (std::vector<std::pair<size_t, size_t>>{
-                        {0, 4}, {4, 8}, {8, 10}}));
-}
-
 TEST(ThreadPoolTest, TasksMayEnqueueMoreWork) {
   // A task enqueued from inside a running task must complete before
   // wait() returns (and before the destructor tears the pool down) —

@@ -375,52 +375,6 @@ TEST(GemmParityTest, BlockedMatchesReferenceOverEdgeShapes) {
   }
 }
 
-/// Worker-count determinism: the kernels promise bit-identical results
-/// for any setKernelWorkers() value. (Named Kernel* so the tsan preset's
-/// test filter picks the threaded paths up.)
-class KernelThreadsTest : public ::testing::Test {
-protected:
-  void TearDown() override { setKernelWorkers(1); }
-};
-
-TEST_F(KernelThreadsTest, GemmBitIdenticalAcrossWorkerCounts) {
-  const int M = 301, K = 257, N = 190; // Several MC row panels + edges.
-  Rng Generator(0x7eAd);
-  const std::vector<float> A =
-      randomVector(static_cast<size_t>(M) * K, Generator);
-  const std::vector<float> B =
-      randomVector(static_cast<size_t>(K) * N, Generator);
-
-  setKernelWorkers(1);
-  std::vector<float> Serial(static_cast<size_t>(M) * N);
-  gemm(A.data(), B.data(), Serial.data(), M, K, N);
-
-  for (unsigned Workers : {2u, 4u}) {
-    setKernelWorkers(Workers);
-    ASSERT_EQ(kernelWorkers(), Workers);
-    std::vector<float> Threaded(static_cast<size_t>(M) * N);
-    gemm(A.data(), B.data(), Threaded.data(), M, K, N);
-    ASSERT_EQ(std::memcmp(Serial.data(), Threaded.data(),
-                          Serial.size() * sizeof(float)),
-              0)
-        << "blocked GEMM output depends on the worker count (" << Workers
-        << " workers)";
-  }
-}
-
-TEST_F(KernelThreadsTest, NestedParallelForRunsInline) {
-  setKernelWorkers(4);
-  EXPECT_FALSE(inKernelParallelRegion());
-  kernelParallelFor(8, 2, [](size_t, size_t) {
-    EXPECT_TRUE(inKernelParallelRegion());
-    // A nested loop must execute inline on this worker.
-    kernelParallelFor(4, 1, [](size_t, size_t) {
-      EXPECT_TRUE(inKernelParallelRegion());
-    });
-  });
-  EXPECT_FALSE(inKernelParallelRegion());
-}
-
 TEST(KernelScratchTest, BuffersAlignedAndReused) {
   KernelScratch &Scratch = KernelScratch::forCurrentThread();
   float *First = Scratch.PackA.ensure(1024);
