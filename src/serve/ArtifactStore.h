@@ -15,7 +15,7 @@
 /// Layout under one Root:
 ///
 ///   <Root>/block_cache/   cross-run tuning blocks (train/BlockCache)
-///   <Root>/cache/         trained-full-model checkpoints
+///   <Root>/cache/         trained teachers, one block-cache entry each
 ///   <Root>/jobs/          JobQueue journals, leases, cancel markers
 ///   <Root>/artifacts/     per-job result.json / telemetry.jsonl / plan.json
 ///   <Root>/models/        uploaded models (serve/ModelStore)

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include <unistd.h>
+
 using namespace wootz;
 
 Result<std::string> wootz::readFile(const std::string &Path) {
@@ -39,16 +41,21 @@ Error wootz::writeFile(const std::string &Path,
   return Error::success();
 }
 
+std::string wootz::uniqueTempPath(const std::string &Path) {
+  // The pid disambiguates processes sharing a directory (two daemons on
+  // one artifact root), the counter concurrent writers within one.
+  static std::atomic<uint64_t> Serial{0};
+  return Path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(Serial.fetch_add(1));
+}
+
 Error wootz::writeFileAtomic(const std::string &Path,
                              const std::string &Contents) {
   // The temporary must live in the same directory as the target:
   // rename(2) is only atomic within one filesystem, and keeping it next
-  // to the target guarantees that. The counter disambiguates concurrent
-  // writers of the same path within a process; the rename then decides
-  // the winner atomically.
-  static std::atomic<uint64_t> Serial{0};
-  const std::string TempPath =
-      Path + ".tmp." + std::to_string(Serial.fetch_add(1));
+  // to the target guarantees that. Each writer has its own temporary;
+  // the rename then decides the winner atomically.
+  const std::string TempPath = uniqueTempPath(Path);
   if (Error E = writeFile(TempPath, Contents))
     return E;
   std::error_code FsError;

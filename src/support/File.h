@@ -27,8 +27,13 @@ Result<std::string> readFile(const std::string &Path);
 /// directories as needed.
 Error writeFile(const std::string &Path, const std::string &Contents);
 
-/// Crash-safe variant of writeFile(): writes \p Contents to a unique
-/// temporary file next to \p Path and renames it over \p Path, so a
+/// A temporary name next to \p Path ("<Path>.tmp.<pid>.<counter>"),
+/// unique across processes and within one, so concurrent writers of one
+/// path never share a temporary file.
+std::string uniqueTempPath(const std::string &Path);
+
+/// Crash-safe variant of writeFile(): writes \p Contents to a
+/// uniqueTempPath() next to \p Path and renames it over \p Path, so a
 /// reader (or a crash at any point) observes either the old file or the
 /// complete new one under the final name — never a partial write. The
 /// temporary is removed on failure.

@@ -6,7 +6,6 @@
 #include "src/support/Json.h"
 #include "src/support/StringUtils.h"
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
@@ -28,13 +27,6 @@ std::string renderLease(const std::string &Owner, int64_t ExpiresUnixMs) {
   Out.field("owner", Owner)
       .field("expires_unix_ms", static_cast<int64_t>(ExpiresUnixMs));
   return Out.str() + "\n";
-}
-
-/// A temp name unique across processes (pid) and within one (counter).
-std::string leaseTempPath(const std::string &Path) {
-  static std::atomic<uint64_t> Serial{0};
-  return Path + ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(Serial.fetch_add(1));
 }
 
 } // namespace
@@ -76,7 +68,7 @@ Result<bool> wootz::tryAcquireLease(const std::string &Path,
   // lease, and one more in case a concurrent stealer won the race and
   // its lease immediately expired (degenerate TTLs in tests).
   for (int Attempt = 0; Attempt < 3; ++Attempt) {
-    const std::string Temp = leaseTempPath(Path);
+    const std::string Temp = uniqueTempPath(Path);
     if (Error E = writeFile(Temp, renderLease(Owner, unixMillisNow() +
                                                          TtlMillis)))
       return E;

@@ -10,15 +10,15 @@
 
 using namespace wootz;
 
-std::string BlockCache::entryPath(const std::string &BlockId) const {
-  // The address is the full (block, teacher, hyperparameters) tuple: a
+std::string BlockCache::entryPath(const std::string &Key) const {
+  // The address is the full (key, teacher, hyperparameters) tuple: a
   // context change silently changes the file name, turning stale entries
   // into plain unused files rather than wrong hits.
   Fnv1a Address;
-  Address.mix(BlockId)
+  Address.mix(Key)
       .mix(TeacherFingerprint)
       .mix(MetaHash);
-  return Config.Directory + "/" + sanitizeCheckpointKey(BlockId) + "-" +
+  return Config.Directory + "/" + sanitizeCheckpointKey(Key) + "-" +
          toHex(Address.digest()) + ".ckpt";
 }
 
@@ -44,9 +44,17 @@ void BlockCache::recordSpan(const std::string &Name, double StartAt) {
 }
 
 bool BlockCache::fetch(const std::string &BlockId, CheckpointStore &Store) {
+  return fetchEntry(BlockId, [&](TensorBundle &Bundle) {
+    Store.insert(BlockId, std::move(Bundle));
+    return true;
+  });
+}
+
+bool BlockCache::fetchEntry(const std::string &Key,
+                            const std::function<bool(TensorBundle &)> &Use) {
   if (!enabled())
     return false;
-  const std::string Path = entryPath(BlockId);
+  const std::string Path = entryPath(Key);
   std::error_code FsError;
   if (!std::filesystem::exists(Path, FsError)) {
     bump("cache.miss", &BlockCacheStats::Misses);
@@ -54,23 +62,23 @@ bool BlockCache::fetch(const std::string &BlockId, CheckpointStore &Store) {
   }
   const double StartAt = Log ? Log->now() : 0.0;
   Result<TensorBundle> Bundle = loadTensors(Path);
-  if (!Bundle) {
-    // Detected corruption (truncation, CRC failure, bad sizes): move the
-    // entry out of the address space so the re-trained replacement can
-    // take its place, and keep the evidence for post-mortems.
+  if (!Bundle || !Use(*Bundle)) {
+    // Detected corruption (truncation, CRC failure, bad sizes, contents
+    // that Use rejects): move the entry out of the address space so the
+    // re-trained replacement can take its place, and keep the evidence
+    // for post-mortems.
     if (!Config.ReadOnly)
       std::filesystem::rename(Path, Path + ".corrupt", FsError);
     bump("cache.corrupt", &BlockCacheStats::Corrupt);
     bump("cache.miss", &BlockCacheStats::Misses);
     return false;
   }
-  Store.insert(BlockId, Bundle.take());
   // Refresh the entry's LRU position: eviction is by mtime, and a hit
   // makes the entry recently used.
   std::filesystem::last_write_time(
       Path, std::filesystem::file_time_type::clock::now(), FsError);
   bump("cache.hit", &BlockCacheStats::Hits);
-  recordSpan("cache.load:" + BlockId, StartAt);
+  recordSpan("cache.load:" + Key, StartAt);
   return true;
 }
 
@@ -81,16 +89,23 @@ Error BlockCache::publish(const std::string &BlockId,
   Result<TensorBundle> Bundle = Store.bundleCopy(BlockId);
   if (!Bundle)
     return Bundle.takeError();
+  return publishEntry(BlockId, *Bundle);
+}
+
+Error BlockCache::publishEntry(const std::string &Key,
+                               const TensorBundle &Bundle) {
+  if (!enabled() || Config.ReadOnly)
+    return Error::success();
   std::error_code FsError;
   std::filesystem::create_directories(Config.Directory, FsError);
   if (FsError)
     return Error::failure("cannot create block cache directory '" +
                           Config.Directory + "'");
   const double StartAt = Log ? Log->now() : 0.0;
-  const std::string Path = entryPath(BlockId);
-  if (Error E = saveTensors(Path, *Bundle))
+  const std::string Path = entryPath(Key);
+  if (Error E = saveTensors(Path, Bundle))
     return E;
-  recordSpan("cache.save:" + BlockId, StartAt);
+  recordSpan("cache.save:" + Key, StartAt);
   if (Config.MaxBytes > 0)
     evictOverCap(Path);
   return Error::success();
@@ -171,5 +186,19 @@ uint64_t BlockCache::hashPretrainMeta(const TrainMeta &Meta) {
       .mix(Meta.BatchSize)
       .mix(Meta.Momentum)
       .mix(Meta.WeightDecay)
+      .digest();
+}
+
+uint64_t BlockCache::hashTeacherMeta(const TrainMeta &Meta) {
+  // Exactly what full-model training reads. Early stopping is forced off
+  // there, so the evaluation cadence never changes the weights.
+  return Fnv1a()
+      .mix(Meta.FullModelSteps)
+      .mix(Meta.FullModelLearningRate)
+      .mix(Meta.BatchSize)
+      .mix(Meta.Momentum)
+      .mix(Meta.WeightDecay)
+      .mix(Meta.LrDecayEvery)
+      .mix(Meta.LrDecayFactor)
       .digest();
 }

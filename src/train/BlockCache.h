@@ -24,6 +24,11 @@
 /// keys by block id alone (one run, one teacher), while the cache keys
 /// by the full tuple (many runs, many teachers).
 ///
+/// The entry code is the only code that persists trained weights: the
+/// teacher cache (prepareFullModel) stores each trained full model as one
+/// entry through fetchEntry()/publishEntry(), from a cache constructed
+/// without a RunLog so teacher lookups never count as block hits/misses.
+///
 /// Crash safety: entries are WOOTZCK2 files (per-entry CRC32 + total
 /// length) written via atomic temp+rename, so a reader sees either a
 /// complete entry or none. Corrupt or truncated entries detected at load
@@ -46,6 +51,7 @@
 #include "src/train/CheckpointStore.h"
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 
@@ -104,8 +110,8 @@ public:
     return TeacherFingerprint * 0x9e3779b97f4a7c15ull ^ MetaHash;
   }
 
-  /// The on-disk path serving \p BlockId under the bound context.
-  std::string entryPath(const std::string &BlockId) const;
+  /// The on-disk path serving \p Key under the bound context.
+  std::string entryPath(const std::string &Key) const;
 
   /// Tries to load \p BlockId from disk into \p Store (under the plain
   /// block id, ready for CheckpointStore::restore). Returns true on a
@@ -116,6 +122,17 @@ public:
   /// applies the size cap. No-op success when disabled or read-only; a
   /// failed write is an Error (the trained block still lives in Store).
   Error publish(const std::string &BlockId, const CheckpointStore &Store);
+
+  /// fetch() for any bundle: loads the entry for \p Key and hands it to
+  /// \p Use, which returns false to reject it. Returns true on a hit. An
+  /// entry that fails to decode or that \p Use rejects is quarantined
+  /// and counts as a miss.
+  bool fetchEntry(const std::string &Key,
+                  const std::function<bool(TensorBundle &)> &Use);
+
+  /// publish() for any bundle: persists \p Bundle as the entry for
+  /// \p Key, then applies the size cap.
+  Error publishEntry(const std::string &Key, const TensorBundle &Bundle);
 
   BlockCacheStats stats() const {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -133,6 +150,11 @@ public:
   /// deliberately excluded so unrelated knob changes don't cold the
   /// cache.
   static uint64_t hashPretrainMeta(const TrainMeta &Meta);
+
+  /// Hash of the TrainMeta fields that full-model (teacher) training
+  /// reads: steps, learning rate and its decay, batch size, momentum,
+  /// weight decay.
+  static uint64_t hashTeacherMeta(const TrainMeta &Meta);
 
 private:
   void bump(const char *Counter, int64_t BlockCacheStats::*Member);

@@ -2,18 +2,10 @@
 
 #include "src/train/CheckpointStore.h"
 
-#include "src/support/File.h"
 #include "src/support/Hash.h"
-#include "src/support/Json.h"
 #include "src/support/StringUtils.h"
 
-#include <filesystem>
-#include <fstream>
-
 using namespace wootz;
-
-/// Manifest version written by saveTo(): JSONL with a typed header line.
-static constexpr int ManifestVersion = 2;
 
 std::string wootz::sanitizeCheckpointKey(const std::string &Key) {
   std::string Out;
@@ -28,10 +20,6 @@ std::string wootz::sanitizeCheckpointKey(const std::string &Key) {
   // short hash of the original key disambiguates them.
   Out += "-" + toHex(fnv1a(Key), 8);
   return Out;
-}
-
-std::string wootz::checkpointFileName(const std::string &Key) {
-  return sanitizeCheckpointKey(Key) + ".ckpt";
 }
 
 void CheckpointStore::capture(const std::string &Key, Graph &Source,
@@ -109,105 +97,4 @@ std::vector<std::string> CheckpointStore::keys() const {
   for (const auto &[Key, Bundle] : Bundles)
     Out.push_back(Key);
   return Out;
-}
-
-Error CheckpointStore::saveTo(const std::string &Directory) const {
-  std::error_code FsError;
-  std::filesystem::create_directories(Directory, FsError);
-  if (FsError)
-    return Error::failure("cannot create checkpoint directory '" +
-                          Directory + "'");
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::string Manifest;
-  Manifest += JsonObject()
-                  .field("type", "wootz-checkpoint-manifest")
-                  .field("version", ManifestVersion)
-                  .field("entries", Bundles.size())
-                  .str() +
-              "\n";
-  for (const auto &[Key, Bundle] : Bundles) {
-    const std::string FileName = checkpointFileName(Key);
-    if (Error E = saveTensors(Directory + "/" + FileName, Bundle))
-      return E;
-    Manifest +=
-        JsonObject().field("key", Key).field("file", FileName).str() +
-        "\n";
-  }
-  // The manifest is renamed into place last, so a crash mid-save leaves
-  // either the previous manifest (pointing at still-valid files) or the
-  // complete new one — never a manifest referencing half-written files.
-  return writeFileAtomic(Directory + "/MANIFEST.json", Manifest);
-}
-
-/// Parses the versioned JSONL manifest into key -> file-name pairs.
-static Result<std::vector<std::pair<std::string, std::string>>>
-parseJsonManifest(const std::string &Text) {
-  std::vector<std::pair<std::string, std::string>> Entries;
-  bool SawHeader = false;
-  for (const std::string &Line : splitLines(Text)) {
-    if (trim(Line).empty())
-      continue;
-    Result<std::map<std::string, std::string>> Object =
-        parseFlatJsonObject(Line);
-    if (!Object)
-      return Error::failure("malformed manifest line '" + Line +
-                            "': " + Object.message());
-    if (!SawHeader) {
-      auto Type = Object->find("type");
-      auto Version = Object->find("version");
-      if (Type == Object->end() ||
-          Type->second != "wootz-checkpoint-manifest" ||
-          Version == Object->end())
-        return Error::failure(
-            "manifest does not start with a wootz-checkpoint-manifest "
-            "header");
-      Result<long long> Parsed = parseInteger(Version->second);
-      if (!Parsed || *Parsed < 1 || *Parsed > ManifestVersion)
-        return Error::failure("unsupported manifest version '" +
-                              Version->second + "'");
-      SawHeader = true;
-      continue;
-    }
-    auto Key = Object->find("key");
-    auto File = Object->find("file");
-    if (Key == Object->end() || File == Object->end())
-      return Error::failure("manifest line '" + Line +
-                            "' lacks key/file fields");
-    Entries.emplace_back(Key->second, File->second);
-  }
-  if (!SawHeader)
-    return Error::failure("manifest has no header line");
-  return Entries;
-}
-
-Result<CheckpointLoadReport>
-CheckpointStore::loadFrom(const std::string &Directory,
-                          CheckpointLoadMode Mode) {
-  Result<std::string> Manifest = readFile(Directory + "/MANIFEST.json");
-  if (!Manifest)
-    return Error::failure("cannot read MANIFEST.json in '" + Directory +
-                          "'");
-  Result<std::vector<std::pair<std::string, std::string>>> Entries =
-      parseJsonManifest(*Manifest);
-  if (!Entries)
-    return Entries.takeError();
-
-  if (Mode == CheckpointLoadMode::Replace) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Bundles.clear();
-  }
-
-  // One bad file must not shadow the good entries behind it: record the
-  // failure, move on, and let the caller re-train just the missing keys.
-  CheckpointLoadReport Report;
-  for (const auto &[Key, FileName] : *Entries) {
-    Result<TensorBundle> Bundle = loadTensors(Directory + "/" + FileName);
-    if (!Bundle) {
-      Report.EntryErrors.push_back(Key + ": " + Bundle.message());
-      continue;
-    }
-    insert(Key, Bundle.take());
-    ++Report.Loaded;
-  }
-  return Report;
 }

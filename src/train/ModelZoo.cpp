@@ -2,51 +2,59 @@
 
 #include "src/train/ModelZoo.h"
 
-#include "src/nn/Serialize.h"
-#include "src/support/StringUtils.h"
+#include "src/compiler/GraphBuilder.h"
+#include "src/support/Hash.h"
+#include "src/train/BlockCache.h"
 
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <cmath>
 
 using namespace wootz;
 
-// The teacher checkpoint carries a sidecar with the generator state as it
-// stood right after training. Restoring it on a cache hit keeps the
-// caller's RNG stream position identical to the run that trained the
-// teacher, so everything seeded downstream (pre-train groups, per-config
-// fine-tunes) reproduces the cold run bit-for-bit. Without it a warm run
-// silently drifts: the restore path skips training's draws.
-static void saveRngSidecar(const std::string &CachePath, const Rng &Generator) {
-  std::ostringstream Text;
-  for (uint64_t Word : Generator.saveState())
-    Text << Word << "\n";
-  const std::string TmpPath = CachePath + ".rng.tmp";
-  {
-    std::ofstream Out(TmpPath, std::ios::trunc);
-    if (!Out)
-      return;
-    Out << Text.str();
-    if (!Out.flush())
-      return;
-  }
-  std::error_code FsError;
-  std::filesystem::rename(TmpPath, CachePath + ".rng", FsError);
+namespace {
+
+/// The teacher entry's key for the generator state. It has no "/s<K>"
+/// suffix, so it can never name a weight.
+constexpr const char *GeneratorEntry = "generator";
+
+/// Fingerprints the dataset contents, so that regenerated or retuned
+/// datasets never reuse a stale teacher.
+uint64_t fingerprintDataset(const Dataset &Data) {
+  Fnv1a Print;
+  Print.mix(Data.Name)
+      .mix(static_cast<uint64_t>(Data.Train.Images.size()))
+      .mix(Data.Classes);
+  const size_t Stride = Data.Train.Images.size() / 64 + 1;
+  for (size_t I = 0; I < Data.Train.Images.size(); I += Stride)
+    Print.mix(Data.Train.Images[I]);
+  return Print.digest();
 }
 
-static void restoreRngSidecar(const std::string &CachePath, Rng &Generator) {
-  std::ifstream In(CachePath + ".rng");
-  if (!In)
-    return;
-  std::vector<uint64_t> Words;
-  uint64_t Word;
-  while (In >> Word)
-    Words.push_back(Word);
-  // An invalid or truncated sidecar leaves the stream alone; the warm
-  // run still works, it just cannot promise cold-run bit-exactness.
-  (void)Generator.restoreState(Words);
+/// The generator's state words split into 16-bit pieces, which float32
+/// holds exactly.
+Tensor encodeGenerator(const Rng &Generator) {
+  std::vector<float> Pieces;
+  for (uint64_t Word : Generator.saveState())
+    for (int Shift = 0; Shift < 64; Shift += 16)
+      Pieces.push_back(static_cast<float>((Word >> Shift) & 0xffff));
+  return Tensor(Shape{static_cast<int>(Pieces.size())}, Pieces);
 }
+
+/// Restores what encodeGenerator() wrote into \p Generator. Returns false,
+/// leaving \p Generator untouched, if \p Pieces is not a valid capture.
+bool decodeGenerator(const Tensor &Pieces, Rng &Generator) {
+  if (Pieces.shape().rank() != 1 || Pieces.size() % 4 != 0)
+    return false;
+  std::vector<uint64_t> Words(Pieces.size() / 4, 0);
+  for (size_t I = 0; I < Pieces.size(); ++I) {
+    const float Piece = Pieces[I];
+    if (!(Piece >= 0.0f && Piece <= 65535.0f) || Piece != std::floor(Piece))
+      return false;
+    Words[I / 4] |= static_cast<uint64_t>(Piece) << (16 * (I % 4));
+  }
+  return Generator.restoreState(Words);
+}
+
+} // namespace
 
 Result<FullModel> wootz::prepareFullModel(const MultiplexingModel &Model,
                                           const Dataset &Data,
@@ -62,59 +70,41 @@ Result<FullModel> wootz::prepareFullModel(const MultiplexingModel &Model,
   Out.InputNode = Built->InputNode;
   Out.LogitsNode = Built->LogitsNode;
 
-  std::string CachePath;
-  if (!CacheDir.empty()) {
-    // The key fingerprints the dataset contents so that regenerated or
-    // retuned datasets never reuse stale weights.
-    uint64_t Fingerprint = 0xcbf29ce484222325ull;
-    auto mix = [&Fingerprint](uint64_t Value) {
-      Fingerprint = (Fingerprint ^ Value) * 0x100000001b3ull;
-    };
-    mix(Data.Train.Images.size());
-    mix(static_cast<uint64_t>(Data.Classes));
-    const size_t Stride = Data.Train.Images.size() / 64 + 1;
-    for (size_t I = 0; I < Data.Train.Images.size(); I += Stride) {
-      uint32_t Bits;
-      float Value = Data.Train.Images[I];
-      static_assert(sizeof(Bits) == sizeof(Value));
-      std::memcpy(&Bits, &Value, sizeof(Bits));
-      mix(Bits);
-    }
-    CachePath = CacheDir + "/" + Model.spec().Name + "_" + Data.Name + "_" +
-                std::to_string(Meta.FullModelSteps) + "_lr" +
-                formatDouble(Meta.FullModelLearningRate, 4) + "_" +
-                std::to_string(Fingerprint % 0xffffff) + ".ckpt";
-    if (std::filesystem::exists(CachePath)) {
-      Result<TensorBundle> Bundle = loadTensors(CachePath);
-      if (!Bundle) {
-        // A corrupt or truncated cache entry must not shadow the slot
-        // forever: quarantine it (keeping the evidence) and retrain.
-        std::error_code FsError;
-        std::filesystem::rename(CachePath, CachePath + ".corrupt",
-                                FsError);
-      } else {
-        bool Compatible = true;
-        const std::map<std::string, Param *> State =
-            Out.Network.namedState();
-        for (const auto &[Name, Value] : *Bundle) {
-          auto It = State.find(Name);
-          if (It == State.end() ||
-              It->second->Value.shape() != Value.shape()) {
-            Compatible = false;
-            break;
-          }
-          It->second->Value = Value;
-        }
-        if (Compatible) {
-          Out.Accuracy =
-              evaluateAccuracy(Out.Network, Out.InputNode, Out.LogitsNode,
-                               Data.Test, 64, Meta.EvalThreads);
-          Out.FromCache = true;
-          restoreRngSidecar(CachePath, Generator);
-          return Out;
-        }
-        // Stale cache (e.g. model shape changed): retrain below.
-      }
+  // The teacher is one block-cache entry, addressed by everything its
+  // training reads except the generator seed (benches share a teacher
+  // across seeds). The cache has no RunLog: a teacher lookup is not a
+  // block hit or miss.
+  CacheConfig Config;
+  Config.Directory = CacheDir;
+  BlockCache Teachers(std::move(Config));
+  const std::string Key = Model.spec().Name;
+  if (Teachers.enabled()) {
+    Teachers.bindContext(Fnv1a()
+                             .mix(printModelSpec(Model.spec()))
+                             .mix(fingerprintDataset(Data))
+                             .digest(),
+                         BlockCache::hashTeacherMeta(Meta));
+    // The entry holds the weights and the generator state as it stood
+    // right after training; restoring it keeps everything seeded
+    // downstream identical to the cold run. Both are checked before
+    // either is written, so a rejected entry (quarantined, then
+    // retrained) leaves the network and the stream as a cold run has
+    // them.
+    const bool Hit = Teachers.fetchEntry(Key, [&](TensorBundle &Entry) {
+      auto State = Entry.extract(GeneratorEntry);
+      Rng Restored = Generator;
+      if (State.empty() || !decodeGenerator(State.mapped(), Restored) ||
+          importWeights(Out.Network, "full", Entry))
+        return false;
+      Generator = Restored;
+      return true;
+    });
+    if (Hit) {
+      Out.Accuracy =
+          evaluateAccuracy(Out.Network, Out.InputNode, Out.LogitsNode,
+                           Data.Test, 64, Meta.EvalThreads);
+      Out.FromCache = true;
+      return Out;
     }
   }
 
@@ -132,17 +122,12 @@ Result<FullModel> wootz::prepareFullModel(const MultiplexingModel &Model,
                                   Out.LogitsNode, Data.Test, 64,
                                   Meta.EvalThreads);
 
-  if (!CachePath.empty()) {
-    std::error_code FsError;
-    std::filesystem::create_directories(CacheDir, FsError);
-    TensorBundle Bundle;
-    for (auto &[Name, State] : Out.Network.namedState())
-      Bundle[Name] = State->Value;
+  if (Teachers.enabled()) {
+    TensorBundle Entry = exportWeights(Out.Network, "full");
+    Entry.emplace(GeneratorEntry, encodeGenerator(Generator));
     // A failed cache write is not fatal; the model is already trained.
-    if (Error E = saveTensors(CachePath, Bundle))
+    if (Error E = Teachers.publishEntry(Key, Entry))
       (void)static_cast<bool>(E);
-    else
-      saveRngSidecar(CachePath, Generator);
   }
   return Out;
 }

@@ -10,7 +10,9 @@
 /// (§6.1). prepareFullModel() trains the full network on the dataset
 /// (the stand-in for ImageNet pre-training + dataset adaptation) and can
 /// cache the trained weights on disk so the many bench binaries don't
-/// retrain the same sixteen (model, dataset) pairs.
+/// retrain the same sixteen (model, dataset) pairs. The cache is a
+/// BlockCache directory: one atomic, CRC-checked entry per teacher holds
+/// its weights and the generator state right after training.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +38,12 @@ struct FullModel {
 
 /// Builds the full network for \p Model, trains it on \p Data for
 /// \p Meta.FullModelSteps, and reports its test accuracy. When
-/// \p CacheDir is non-empty, trained weights are loaded from / saved to
-/// "<CacheDir>/<model>_<dataset>_<steps>.ckpt".
+/// \p CacheDir is non-empty, the trained teacher is loaded from / saved
+/// to one BlockCache entry in it, addressed by the full model spec, the
+/// dataset's fingerprint and BlockCache::hashTeacherMeta(\p Meta) (not by
+/// \p Generator's seed). A hit restores \p Generator to the state the
+/// training run left it in; an entry that does not fit is quarantined
+/// and the teacher retrained.
 Result<FullModel> prepareFullModel(const MultiplexingModel &Model,
                                    const Dataset &Data,
                                    const TrainMeta &Meta,

@@ -3,10 +3,9 @@
 // The crash-safety and corruption-tolerance contract of the persistence
 // layer: a WOOTZCK2 checkpoint truncated at any offset or with any byte
 // flipped parses to a clean Error (never a crash or a huge allocation),
-// so do the legacy formats, saves are atomic under the final name, a
-// corrupt store entry is skipped-and-reported rather than aborting the
-// load, and the cross-run BlockCache turns all of it into hits, misses,
-// quarantines, and LRU evictions.
+// so does the legacy format, saves are atomic under the final name even
+// with two writing processes, and the cross-run BlockCache turns all of
+// it into hits, misses, quarantines, and LRU evictions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +21,10 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace wootz;
 
@@ -112,6 +115,16 @@ TEST(CheckpointFormatTest, Everysingle_ByteFlipIsACleanError) {
           << " at offset " << std::dec << Offset << " was accepted";
     }
   }
+}
+
+TEST(CheckpointFormatTest, LegacyV1MagicIsACleanError) {
+  // The pre-CRC format is no longer read: a "WOOTZCK1" file fails with an
+  // Error.
+  Result<TensorBundle> V1 =
+      deserializeTensors(std::string("WOOTZCK1") + std::string(8, '\0'));
+  ASSERT_FALSE(static_cast<bool>(V1));
+  EXPECT_NE(V1.message().find("bad magic"), std::string::npos)
+      << V1.message();
 }
 
 TEST(CheckpointFormatTest, TrailingGarbageIsRejected) {
@@ -238,144 +251,87 @@ TEST(CheckpointAtomicSaveTest, FailedSaveLeavesOldFileIntact) {
   EXPECT_TRUE(bundlesEqual(*Loaded, smallBundle()));
 }
 
-//===----------------------------------------------------------------------===//
-// CheckpointStore: manifest, corrupt entries, load modes, concurrency
-//===----------------------------------------------------------------------===//
+TEST(CheckpointAtomicSaveTest, TwoProcessesWritingOnePath) {
+  // Two processes (say, two daemons on one artifact root) save different
+  // bundles to one path, round after round, both starting each round
+  // together. Each writer must use its own temporary file: sharing one
+  // lets a writer rename the other's torn file into place, or find its
+  // own temporary renamed away. The writers fork from one process, so a
+  // temporary name drawn from per-process state alone would collide.
+  ScratchDir Dir("wootz_atomic_fork_test");
+  const std::string Path = Dir.file("contested.ckpt");
+  constexpr int Floats = 65536;
+  const TensorBundle Bundles[2] = {
+      {{"w/s0", Tensor(Shape{Floats}, std::vector<float>(Floats, 1.0f))}},
+      {{"w/s0", Tensor(Shape{Floats}, std::vector<float>(Floats, 2.0f))}}};
+  ASSERT_FALSE(static_cast<bool>(saveTensors(Path, Bundles[0])));
 
-TEST(CheckpointStoreDiskTest, WritesVersionedJsonManifest) {
-  ScratchDir Dir("wootz_manifest_test");
-  CheckpointStore Store;
-  Store.insert("a|b", smallBundle());
-  Store.insert("a:b", smallBundle());
-  ASSERT_FALSE(static_cast<bool>(Store.saveTo(Dir.str())));
+  // Run the writers on two different CPUs where there are two, so their
+  // saves overlap in time instead of taking turns on one.
+  cpu_set_t Allowed;
+  CPU_ZERO(&Allowed);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(Allowed), &Allowed), 0);
+  std::vector<int> Cpus;
+  for (int Cpu = 0; Cpu < CPU_SETSIZE && Cpus.size() < 2; ++Cpu)
+    if (CPU_ISSET(Cpu, &Allowed))
+      Cpus.push_back(Cpu);
 
-  Result<std::string> Manifest = readFile(Dir.file("MANIFEST.json"));
-  ASSERT_TRUE(static_cast<bool>(Manifest)) << Manifest.message();
-  std::istringstream Lines(*Manifest);
-  std::string Header;
-  ASSERT_TRUE(std::getline(Lines, Header));
-  Result<std::map<std::string, std::string>> Parsed =
-      parseFlatJsonObject(Header);
-  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
-  EXPECT_EQ((*Parsed)["type"], "wootz-checkpoint-manifest");
-  EXPECT_EQ((*Parsed)["version"], "2");
-  EXPECT_EQ((*Parsed)["entries"], "2");
-
-  // The colliding keys land in two distinct files, and both load back.
-  CheckpointStore Loaded;
-  Result<CheckpointLoadReport> Report = Loaded.loadFrom(Dir.str());
-  ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
-  EXPECT_EQ(Report->Loaded, 2);
-  EXPECT_TRUE(Loaded.contains("a|b"));
-  EXPECT_TRUE(Loaded.contains("a:b"));
-}
-
-TEST(CheckpointStoreDiskTest, LegacyFormatsAreCleanErrors) {
-  // The pre-CRC formats are no longer read: a "WOOTZCK1" file and a
-  // directory holding only the old TSV manifest each fail with an Error.
-  Result<TensorBundle> V1 =
-      deserializeTensors(std::string("WOOTZCK1") + std::string(8, '\0'));
-  ASSERT_FALSE(static_cast<bool>(V1));
-  EXPECT_NE(V1.message().find("bad magic"), std::string::npos)
-      << V1.message();
-
-  ScratchDir Dir("wootz_tsv_manifest_test");
-  CheckpointStore Saved;
-  Saved.insert("old@key", smallBundle());
-  ASSERT_FALSE(static_cast<bool>(Saved.saveTo(Dir.str())));
-  const std::string File = checkpointFileName("old@key");
-  std::filesystem::remove(Dir.file("MANIFEST.json"));
-  ASSERT_FALSE(static_cast<bool>(
-      writeFile(Dir.file("MANIFEST"), "old@key\t" + File + "\n")));
-
-  CheckpointStore Store;
-  Result<CheckpointLoadReport> Report = Store.loadFrom(Dir.str());
-  ASSERT_FALSE(static_cast<bool>(Report));
-  EXPECT_NE(Report.message().find("MANIFEST.json"), std::string::npos)
-      << Report.message();
-  EXPECT_FALSE(Store.contains("old@key"));
-}
-
-TEST(CheckpointStoreDiskTest, CorruptEntryIsReportedNotFatal) {
-  // One flipped byte in one file: the load must still deliver every
-  // other entry and name the broken one, instead of stopping at the
-  // first unreadable file.
-  ScratchDir Dir("wootz_corrupt_entry_test");
-  CheckpointStore Store;
-  Store.insert("good1", smallBundle());
-  Store.insert("bad", smallBundle());
-  Store.insert("good2", smallBundle());
-  ASSERT_FALSE(static_cast<bool>(Store.saveTo(Dir.str())));
-
-  const std::string BadPath = Dir.file(checkpointFileName("bad"));
-  Result<std::string> Bytes = readFile(BadPath);
-  ASSERT_TRUE(static_cast<bool>(Bytes));
-  std::string Mutated = *Bytes;
-  Mutated[Mutated.size() / 2] ^= 0x40;
-  ASSERT_FALSE(static_cast<bool>(writeFile(BadPath, Mutated)));
-
-  CheckpointStore Loaded;
-  Result<CheckpointLoadReport> Report = Loaded.loadFrom(Dir.str());
-  ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
-  EXPECT_EQ(Report->Loaded, 2);
-  ASSERT_EQ(Report->EntryErrors.size(), 1u);
-  EXPECT_EQ(Report->EntryErrors[0].substr(0, 4), "bad:");
-  EXPECT_TRUE(Loaded.contains("good1"));
-  EXPECT_TRUE(Loaded.contains("good2"));
-  EXPECT_FALSE(Loaded.contains("bad"));
-}
-
-TEST(CheckpointStoreDiskTest, MissingManifestIsAnError) {
-  ScratchDir Dir("wootz_no_manifest_test");
-  CheckpointStore Store;
-  Result<CheckpointLoadReport> Report = Store.loadFrom(Dir.str());
-  EXPECT_FALSE(static_cast<bool>(Report));
-}
-
-TEST(CheckpointStoreConcurrencyTest, CaptureSaveLoadStress) {
-  // Writers insert bundles while one thread repeatedly mirrors the store
-  // to disk and another keeps loading the directory into a second store.
-  // Every saveTo must be internally consistent (manifest entries all
-  // loadable) at any interleaving.
-  ScratchDir Dir("wootz_store_stress_test");
-  CheckpointStore Store;
-  Store.insert("seed", smallBundle());
-  ASSERT_FALSE(static_cast<bool>(Store.saveTo(Dir.str())));
-
-  std::atomic<bool> Stop{false};
-  std::thread Inserter([&] {
-    for (int I = 0; I < 64; ++I)
-      Store.insert("blk" + std::to_string(I), smallBundle());
-  });
-  std::thread Saver([&] {
-    for (int I = 0; I < 16; ++I) {
-      Error E = Store.saveTo(Dir.str());
-      ASSERT_FALSE(static_cast<bool>(E)) << E.message();
+  // Per writer: a pipe that starts one save per byte, and one that
+  // reports each save's outcome.
+  int Go[2][2], Done[2][2];
+  pid_t Writers[2];
+  for (int W = 0; W < 2; ++W) {
+    ASSERT_EQ(::pipe(Go[W]), 0);
+    ASSERT_EQ(::pipe(Done[W]), 0);
+    Writers[W] = ::fork();
+    ASSERT_GE(Writers[W], 0);
+    if (Writers[W] == 0) {
+      // Hold no start pipe open for writing, so closing them ends us.
+      for (int V = 0; V <= W; ++V)
+        ::close(Go[V][1]);
+      if (Cpus.size() == 2) {
+        cpu_set_t Mine;
+        CPU_ZERO(&Mine);
+        CPU_SET(Cpus[W], &Mine);
+        (void)::sched_setaffinity(0, sizeof(Mine), &Mine);
+      }
+      char Byte;
+      while (::read(Go[W][0], &Byte, 1) == 1) {
+        const char Outcome = saveTensors(Path, Bundles[W]) ? 'x' : 'o';
+        if (::write(Done[W][1], &Outcome, 1) != 1)
+          break;
+      }
+      ::_exit(0);
     }
-    Stop = true;
-  });
-  std::thread Loader([&] {
-    while (!Stop.load()) {
-      CheckpointStore Mirror;
-      Result<CheckpointLoadReport> Report =
-          Mirror.loadFrom(Dir.str(), CheckpointLoadMode::Replace);
-      ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
-      EXPECT_TRUE(Report->EntryErrors.empty());
-      EXPECT_GE(Report->Loaded, 1);
+  }
+  for (int Round = 0; Round < 100; ++Round) {
+    for (int W = 0; W < 2; ++W)
+      ASSERT_EQ(::write(Go[W][1], "g", 1), 1);
+    for (int W = 0; W < 2; ++W) {
+      char Outcome = 0;
+      ASSERT_EQ(::read(Done[W][0], &Outcome, 1), 1);
+      EXPECT_EQ(Outcome, 'o') << "writer " << W << " failed in round "
+                              << Round;
     }
-  });
-  Inserter.join();
-  Saver.join();
-  Loader.join();
+    Result<TensorBundle> Loaded = loadTensors(Path);
+    ASSERT_TRUE(static_cast<bool>(Loaded))
+        << "round " << Round << ": " << Loaded.message();
+    ASSERT_TRUE(bundlesEqual(*Loaded, Bundles[0]) ||
+                bundlesEqual(*Loaded, Bundles[1]))
+        << "round " << Round << " left a torn or foreign file";
+  }
+  for (int W = 0; W < 2; ++W) {
+    ::close(Go[W][1]);
+    int Status = 0;
+    ASSERT_EQ(::waitpid(Writers[W], &Status, 0), Writers[W]);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  }
 
-  // The saver may finish its 16 saves before the last insert lands, so
-  // mirror the complete store once more before checking the count.
-  ASSERT_FALSE(static_cast<bool>(Store.saveTo(Dir.str())));
-  CheckpointStore Final;
-  Result<CheckpointLoadReport> Report =
-      Final.loadFrom(Dir.str(), CheckpointLoadMode::Replace);
-  ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
-  EXPECT_EQ(Report->Loaded, 65);
+  int Residue = 0;
+  for (const auto &Entry : fs::directory_iterator(Dir.str()))
+    if (Entry.path().filename().string().find(".tmp.") != std::string::npos)
+      ++Residue;
+  EXPECT_EQ(Residue, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -551,6 +507,43 @@ TEST_F(BlockCacheTest, DisabledCacheIsInert) {
   EXPECT_EQ(Stats.Hits + Stats.Misses + Stats.Corrupt + Stats.Evicted, 0);
 }
 
+TEST_F(BlockCacheTest, CollidingKeysGetDistinctEntries) {
+  // Keys that sanitize to the same characters land in two entries, and
+  // each loads back its own bundle.
+  ScratchDir Dir("wootz_blockcache_colliding");
+  BlockCache Cache(configFor(Dir.str()));
+  Cache.bindContext(1, 2);
+  TensorBundle Other;
+  Other["other/s0"] = Tensor(Shape{1}, {3.0f});
+  ASSERT_FALSE(static_cast<bool>(Cache.publishEntry("a|b", smallBundle())));
+  ASSERT_FALSE(static_cast<bool>(Cache.publishEntry("a:b", Other)));
+  EXPECT_NE(Cache.entryPath("a|b"), Cache.entryPath("a:b"));
+
+  CheckpointStore Store;
+  ASSERT_TRUE(Cache.fetch("a|b", Store));
+  ASSERT_TRUE(Cache.fetch("a:b", Store));
+  EXPECT_TRUE(bundlesEqual(*Store.bundleCopy("a|b"), smallBundle()));
+  EXPECT_TRUE(bundlesEqual(*Store.bundleCopy("a:b"), Other));
+}
+
+TEST_F(BlockCacheTest, EntryRejectedByItsUserIsQuarantined) {
+  // An entry that decodes but that its user cannot take (the teacher
+  // cache's missing generator state) is treated like a corrupt one.
+  ScratchDir Dir("wootz_blockcache_rejected");
+  BlockCache Cache(configFor(Dir.str()));
+  Cache.bindContext(1, 2);
+  ASSERT_FALSE(static_cast<bool>(Cache.publishEntry("teacher", smallBundle())));
+  const std::string Path = Cache.entryPath("teacher");
+
+  EXPECT_FALSE(Cache.fetchEntry("teacher", [](TensorBundle &) { return false; }));
+  EXPECT_FALSE(fs::exists(Path));
+  EXPECT_TRUE(fs::exists(Path + ".corrupt"));
+  const BlockCacheStats Stats = Cache.stats();
+  EXPECT_EQ(Stats.Corrupt, 1);
+  EXPECT_EQ(Stats.Misses, 1);
+  EXPECT_EQ(Stats.Hits, 0);
+}
+
 TEST_F(BlockCacheTest, ConcurrentPublishersAndFetchers) {
   // The Overlap schedule publishes from concurrent group tasks while
   // other tasks fetch. All operations must stay clean under the race.
@@ -594,7 +587,7 @@ TEST_F(BlockCacheTest, ConcurrentPublishersAndFetchers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Flat JSON parser (manifest dependency)
+// Flat JSON parser (lease, registry, job-record and request dependency)
 //===----------------------------------------------------------------------===//
 
 TEST(CheckpointManifestJsonTest, ParsesWriterOutput) {

@@ -1,7 +1,10 @@
 //===- tests/TrainTest.cpp - train/ unit tests --------------------------------------===//
 
 #include "src/data/Synthetic.h"
+#include "src/explore/Pipeline.h"
 #include "src/models/MiniModels.h"
+#include "src/nn/Serialize.h"
+#include "src/support/File.h"
 #include "src/train/Assembly.h"
 #include "src/train/ModelZoo.h"
 #include "src/train/Pretrainer.h"
@@ -12,6 +15,7 @@
 #include <atomic>
 #include <cctype>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 using namespace wootz;
@@ -214,9 +218,10 @@ TEST(CheckpointStoreTest, SanitizeKeys) {
 
 TEST(CheckpointStoreTest, SanitizeKeysNeverCollide) {
   // Regression: "b|a" and "b:a" both sanitized to "b_a" and silently
-  // overwrote each other's .ckpt file in saveTo.
+  // overwrote each other's .ckpt file.
   EXPECT_NE(sanitizeCheckpointKey("b|a"), sanitizeCheckpointKey("b:a"));
-  EXPECT_NE(checkpointFileName("m0@0.5,0.3"), checkpointFileName("m0@0.5@0.3"));
+  EXPECT_NE(sanitizeCheckpointKey("m0@0.5,0.3"),
+            sanitizeCheckpointKey("m0@0.5@0.3"));
   EXPECT_NE(sanitizeCheckpointKey("a_b"), sanitizeCheckpointKey("a|b"));
 }
 
@@ -265,40 +270,6 @@ TEST(CheckpointStoreTest, RestoreBoundsChecksStateIndex) {
   ASSERT_TRUE(static_cast<bool>(E));
   EXPECT_NE(E.message().find("state tensor 99"), std::string::npos)
       << E.message();
-}
-
-TEST_F(TrainFixture, CheckpointStoreDiskRoundTrip) {
-  Rng Generator(67);
-  Graph A;
-  ASSERT_TRUE(static_cast<bool>(Model->build(A, BuildMode::FullModel,
-                                             PruneInfo(), "full",
-                                             Generator)));
-  CheckpointStore Store;
-  Store.capture("m1@0.5", A, "full", {"m1_conv1", "m1_conv1_bn"});
-  const std::string Dir =
-      (std::filesystem::temp_directory_path() / "wootz_store_test")
-          .string();
-  Error SaveErr = Store.saveTo(Dir);
-  ASSERT_FALSE(static_cast<bool>(SaveErr)) << SaveErr.message();
-
-  CheckpointStore Loaded;
-  Result<CheckpointLoadReport> Report = Loaded.loadFrom(Dir);
-  ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
-  EXPECT_EQ(Report->Loaded, 1);
-  EXPECT_TRUE(Report->EntryErrors.empty());
-  EXPECT_TRUE(Loaded.contains("m1@0.5"));
-  EXPECT_EQ(Loaded.keys(), Store.keys());
-
-  // Replace mode drops what was in memory; merge keeps it.
-  Loaded.insert("stale", TensorBundle{});
-  ASSERT_TRUE(static_cast<bool>(
-      Loaded.loadFrom(Dir, CheckpointLoadMode::Merge)));
-  EXPECT_TRUE(Loaded.contains("stale"));
-  ASSERT_TRUE(static_cast<bool>(
-      Loaded.loadFrom(Dir, CheckpointLoadMode::Replace)));
-  EXPECT_FALSE(Loaded.contains("stale"));
-  EXPECT_TRUE(Loaded.contains("m1@0.5"));
-  std::filesystem::remove_all(Dir);
 }
 
 TEST_F(TrainFixture, CheckpointStoreConcurrentWritersAndReaders) {
@@ -500,6 +471,215 @@ TEST_F(TrainFixture, FullModelCacheHitSkipsTraining) {
   ASSERT_TRUE(static_cast<bool>(Second)) << Second.message();
   EXPECT_TRUE(Second->FromCache);
   EXPECT_NEAR(Second->Accuracy, First->Accuracy, 1e-9);
+  std::filesystem::remove_all(Dir);
+}
+
+/// The teacher entries prepareFullModel wrote into \p Dir.
+std::vector<std::string> teacherEntries(const std::string &Dir) {
+  std::vector<std::string> Entries;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    if (Entry.path().extension() == ".ckpt")
+      Entries.push_back(Entry.path().string());
+  return Entries;
+}
+
+TEST_F(TrainFixture, FullModelCacheAddressCoversTheWholeSpec) {
+  // Regression: the teacher was keyed by the spec's name, so two models
+  // with one name and the same parameter shapes shared a teacher.
+  Result<ModelSpec> Parsed = makeStandardModel(StandardModel::InceptionB, 4);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+  ModelSpec MaxPool = Parsed.take();
+  ModelSpec AvePool = MaxPool;
+  int Flipped = 0;
+  for (LayerSpec &L : MaxPool.Layers)
+    if (L.Kind == LayerKind::Pooling && !L.GlobalPooling && !L.PoolMax) {
+      L.PoolMax = true;
+      ++Flipped;
+    }
+  ASSERT_GT(Flipped, 0);
+  ASSERT_EQ(MaxPool.Name, AvePool.Name);
+  const MultiplexingModel Max(MaxPool);
+  const MultiplexingModel Ave(AvePool);
+  TrainMeta Short = Meta;
+  Short.FullModelSteps = 10;
+
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() / "wootz_zoo_spec_test")
+          .string();
+  std::filesystem::remove_all(Dir);
+  Rng Generator(73);
+  Result<FullModel> First = prepareFullModel(Max, Data, Short, Dir, Generator);
+  ASSERT_TRUE(static_cast<bool>(First)) << First.message();
+  EXPECT_FALSE(First->FromCache);
+  Rng Generator2(73);
+  Result<FullModel> Second =
+      prepareFullModel(Ave, Data, Short, Dir, Generator2);
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.message();
+  EXPECT_FALSE(Second->FromCache);
+  EXPECT_EQ(teacherEntries(Dir).size(), 2u);
+
+  // Each model still finds its own teacher.
+  Rng Generator3(74);
+  Result<FullModel> Third = prepareFullModel(Ave, Data, Short, Dir, Generator3);
+  ASSERT_TRUE(static_cast<bool>(Third)) << Third.message();
+  EXPECT_TRUE(Third->FromCache);
+  EXPECT_EQ(Third->Accuracy, Second->Accuracy);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST_F(TrainFixture, FullModelCacheAddressCoversTheTrainingMeta) {
+  // Regression: batch size, momentum and weight decay were not in the
+  // teacher's key, so jobs differing only in them shared a teacher.
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() / "wootz_zoo_meta_test")
+          .string();
+  std::filesystem::remove_all(Dir);
+  Rng Generator(73);
+  Result<FullModel> First =
+      prepareFullModel(*Model, Data, Meta, Dir, Generator);
+  ASSERT_TRUE(static_cast<bool>(First)) << First.message();
+  EXPECT_FALSE(First->FromCache);
+
+  TrainMeta Wider = Meta;
+  Wider.BatchSize = 2 * Meta.BatchSize;
+  Rng Generator2(73);
+  Result<FullModel> Second =
+      prepareFullModel(*Model, Data, Wider, Dir, Generator2);
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.message();
+  EXPECT_FALSE(Second->FromCache);
+
+  // Knobs full-model training never reads keep the teacher warm.
+  TrainMeta FinetuneOnly = Meta;
+  FinetuneOnly.FinetuneSteps += 5;
+  FinetuneOnly.PretrainLearningRate *= 2.0f;
+  Rng Generator3(73);
+  Result<FullModel> Third =
+      prepareFullModel(*Model, Data, FinetuneOnly, Dir, Generator3);
+  ASSERT_TRUE(static_cast<bool>(Third)) << Third.message();
+  EXPECT_TRUE(Third->FromCache);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST_F(TrainFixture, FullModelCacheBrokenEntryIsQuarantinedAndRetrained) {
+  // A teacher entry that is truncated, or that lacks the generator
+  // state, is a miss: it is quarantined and the teacher retrained, and
+  // the pipeline behind it reproduces a cold run bit for bit.
+  // Regression: a teacher without its generator state was used anyway,
+  // and the caller's stream silently skipped training's draws.
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() / "wootz_zoo_broken_test")
+          .string();
+  std::filesystem::remove_all(Dir);
+  PipelineOptions Options;
+  Options.UseComposability = true;
+  Options.CacheDir = Dir;
+  const std::vector<PruneConfig> Subspace{
+      PruneConfig(Spec.moduleCount(), 0.5f),
+      PruneConfig(Spec.moduleCount(), 0.3f)};
+  TrainMeta Short = Meta;
+  Short.PretrainSteps = 10;
+  Short.FinetuneSteps = 10;
+  auto run = [&] {
+    Rng Generator(11);
+    Result<PipelineResult> Run =
+        runPruningPipeline(Spec, Data, Subspace, Short, Options, Generator);
+    EXPECT_TRUE(static_cast<bool>(Run)) << Run.message();
+    return Run ? Run.take() : PipelineResult();
+  };
+  auto expectSameEvaluations = [](const PipelineResult &A,
+                                  const PipelineResult &B) {
+    ASSERT_EQ(A.Evaluations.size(), B.Evaluations.size());
+    for (size_t I = 0; I < A.Evaluations.size(); ++I) {
+      EXPECT_EQ(A.Evaluations[I].InitAccuracy, B.Evaluations[I].InitAccuracy);
+      EXPECT_EQ(A.Evaluations[I].FinalAccuracy,
+                B.Evaluations[I].FinalAccuracy);
+    }
+  };
+  const PipelineResult Cold = run();
+  ASSERT_FALSE(Cold.Evaluations.empty());
+
+  const std::vector<std::string> Written = teacherEntries(Dir);
+  ASSERT_EQ(Written.size(), 1u);
+  const std::string Entry = Written.front();
+  Result<std::string> Bytes = readFile(Entry);
+  ASSERT_TRUE(static_cast<bool>(Bytes)) << Bytes.message();
+  Result<TensorBundle> Bundle = loadTensors(Entry);
+  ASSERT_TRUE(static_cast<bool>(Bundle)) << Bundle.message();
+  TensorBundle Stripped = *Bundle;
+  Stripped.erase("generator");
+
+  const std::vector<std::string> Broken{
+      Bytes->substr(0, Bytes->size() / 2), serializeTensors(Stripped)};
+  for (const std::string &Contents : Broken) {
+    std::filesystem::remove(Entry + ".corrupt");
+    ASSERT_FALSE(static_cast<bool>(writeFile(Entry, Contents)));
+    Rng Probe(11);
+    Result<FullModel> Teacher =
+        prepareFullModel(*Model, Data, Short, Dir, Probe);
+    ASSERT_TRUE(static_cast<bool>(Teacher)) << Teacher.message();
+    EXPECT_FALSE(Teacher->FromCache);
+    EXPECT_TRUE(std::filesystem::exists(Entry + ".corrupt"));
+
+    // The retrain rewrote the entry; break it again for the pipeline.
+    ASSERT_FALSE(static_cast<bool>(writeFile(Entry, Contents)));
+    const PipelineResult Retrained = run();
+    expectSameEvaluations(Retrained, Cold);
+    // The retrained entry now serves a warm run, also bit for bit.
+    const PipelineResult Warm = run();
+    expectSameEvaluations(Warm, Cold);
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+class BlockCacheTeacherTest : public TrainFixture {};
+
+TEST_F(BlockCacheTeacherTest, ConcurrentPreparesOnOneEmptyCache) {
+  // Two threads (standing in for two jobs or daemons) prepare the same
+  // teacher in one empty cache directory: both train or hit, and both
+  // end with identical weights, accuracy and generator state.
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() / "wootz_zoo_race_test")
+          .string();
+  std::filesystem::remove_all(Dir);
+  TrainMeta Short = Meta;
+  Short.FullModelSteps = 30;
+  std::optional<Result<FullModel>> Results[2];
+  std::vector<uint64_t> Streams[2];
+  std::thread Threads[2];
+  for (int T = 0; T < 2; ++T)
+    Threads[T] = std::thread([&, T] {
+      Rng Generator(73);
+      Results[T].emplace(
+          prepareFullModel(*Model, Data, Short, Dir, Generator));
+      Streams[T] = Generator.saveState();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  Result<FullModel> &First = *Results[0];
+  Result<FullModel> &Second = *Results[1];
+  ASSERT_TRUE(static_cast<bool>(First)) << First.message();
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.message();
+  EXPECT_EQ(First->Accuracy, Second->Accuracy);
+  EXPECT_EQ(Streams[0], Streams[1]);
+  const std::map<std::string, Param *> A = First->Network.namedState();
+  const std::map<std::string, Param *> B = Second->Network.namedState();
+  ASSERT_EQ(A.size(), B.size());
+  for (const auto &[Name, State] : A) {
+    ASSERT_TRUE(B.count(Name)) << Name;
+    const Tensor &X = State->Value;
+    const Tensor &Y = B.at(Name)->Value;
+    ASSERT_EQ(X.shape(), Y.shape()) << Name;
+    for (size_t I = 0; I < X.size(); ++I)
+      ASSERT_EQ(X[I], Y[I]) << Name << "[" << I << "]";
+  }
+  // The entry both wrote is whole and serves a third caller, whose
+  // stream resumes where training left the first two.
+  Rng Generator(74);
+  Result<FullModel> Third = prepareFullModel(*Model, Data, Short, Dir, Generator);
+  ASSERT_TRUE(static_cast<bool>(Third)) << Third.message();
+  EXPECT_TRUE(Third->FromCache);
+  EXPECT_EQ(Third->Accuracy, First->Accuracy);
+  EXPECT_EQ(Generator.saveState(), Streams[0]);
   std::filesystem::remove_all(Dir);
 }
 
