@@ -297,42 +297,20 @@ int main(int ArgCount, char **Args) {
   Options.BlockCacheConfig.Directory = OutDir + "/block_cache";
   Rng Generator(Meta.Seed);
 
-  if (Strategy != StrategyKind::Fixed) {
-    // Strategy-driven exploration: proposal rounds instead of a fixed
-    // sweep. The rate alphabet comes from the subspace file.
-    StrategyKnobs Knobs;
-    Knobs.Rates = subspaceRateAlphabet(Subspace);
-    std::unique_ptr<ExplorationStrategy> Explorer =
-        orDie(makeStrategy(Strategy, Spec, Subspace, Objective, Knobs),
-              "building the strategy");
-    Options.CancelObjective = &Objective;
-    const StrategyRunResult Search =
-        orDie(runStrategyExploration(Spec, Data, *Explorer, Meta, Options,
-                                     Objective, Generator),
-              "running the strategy exploration");
-    orDie(writeFile(OutDir + "/evaluations.csv",
-                    renderEvaluationsCsv(Search.Run)),
-          "writing evaluations CSV");
-    std::printf("\nstrategy %s: %d proposals over %d rounds, %d tuning "
-                "block reuses\n",
-                strategyKindName(Strategy), Search.Proposals,
-                Search.Rounds, Search.BlocksReused);
-    if (Search.WinnerIndex >= 0) {
-      const EvaluatedConfig &Winner =
-          Search.Run.Evaluations[static_cast<size_t>(Search.WinnerIndex)];
-      std::printf("winner %s: size %.1f%%, accuracy %.3f\n",
-                  formatConfig(Winner.Config).c_str(),
-                  100.0 * Winner.SizeFraction, Winner.FinalAccuracy);
-    } else {
-      std::printf("no configuration met the objective\n");
-    }
-    std::printf("outputs written under %s/\n", OutDir.c_str());
-    return 0;
-  }
-
-  const PipelineResult Run = orDie(
-      runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator),
-      "running the pipeline");
+  // Every strategy runs through the exploration driver in the
+  // objective's order; "fixed" sweeps the whole subspace in one round,
+  // the others propose round by round with the subspace's rate alphabet.
+  StrategyKnobs Knobs;
+  Knobs.Rates = subspaceRateAlphabet(Subspace);
+  std::unique_ptr<ExplorationStrategy> Explorer =
+      orDie(makeStrategy(Strategy, Spec, Subspace, Objective, Knobs),
+            "building the strategy");
+  Options.CancelObjective = &Objective;
+  const StrategyRunResult Search =
+      orDie(runStrategyExploration(Spec, Data, *Explorer, Meta, Options,
+                                   Objective, Generator),
+            "running the exploration");
+  const PipelineResult &Run = Search.Run;
 
   orDie(writeFile(OutDir + "/evaluations.csv", renderEvaluationsCsv(Run)),
         "writing evaluations CSV");
@@ -340,17 +318,17 @@ int main(int ArgCount, char **Args) {
                   renderRunReport(Run, Objective, Meta.Nodes)),
         "writing report");
 
-  const ExplorationSummary Summary =
-      summarizeExploration(Run, Objective, Meta.Nodes);
-  if (Summary.WinnerIndex >= 0) {
-    const EvaluatedConfig &Winner = Run.Evaluations[Summary.WinnerIndex];
-    std::printf("\nwinner %s: size %.1f%%, accuracy %.3f "
-                "(%d configs, %.1fs on %d nodes)\n",
+  std::printf("\nstrategy %s: %d proposals over %d rounds, %d tuning "
+              "block reuses\n",
+              strategyKindName(Strategy), Search.Proposals, Search.Rounds,
+              Search.BlocksReused);
+  if (Search.WinnerIndex >= 0) {
+    const EvaluatedConfig &Winner = Run.Evaluations[Search.WinnerIndex];
+    std::printf("winner %s: size %.1f%%, accuracy %.3f\n",
                 formatConfig(Winner.Config).c_str(),
-                100.0 * Winner.SizeFraction, Winner.FinalAccuracy,
-                Summary.ConfigsEvaluated, Summary.Seconds, Meta.Nodes);
+                100.0 * Winner.SizeFraction, Winner.FinalAccuracy);
   } else {
-    std::printf("\nno configuration met the objective\n");
+    std::printf("no configuration met the objective\n");
   }
   std::printf("block cache: %lld hits, %lld misses (rerun to resume "
               "pre-training from %s/block_cache)\n",

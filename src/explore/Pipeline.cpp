@@ -3,9 +3,6 @@
 #include "src/explore/Pipeline.h"
 
 #include "src/explore/strategy/Driver.h"
-#include "src/explore/strategy/FixedSubspace.h"
-
-#include <algorithm>
 
 using namespace wootz;
 
@@ -13,22 +10,19 @@ Result<PipelineResult> wootz::runPruningPipeline(
     const ModelSpec &Spec, const Dataset &Data,
     std::vector<PruneConfig> Subspace, const TrainMeta &Meta,
     const PipelineOptions &Options, Rng &Generator) {
-  if (Subspace.empty())
-    return Error::failure("the promising subspace is empty");
   // The fixed subspace is a one-round strategy. Its exploration order
   // follows the cancellation objective; with none, smallest first.
   const PruningObjective Order =
       Options.CancelObjective ? *Options.CancelObjective : PruningObjective();
-  FixedSubspaceStrategy Strategy(Spec, std::move(Subspace), Order);
+  Result<std::unique_ptr<ExplorationStrategy>> Strategy = makeStrategy(
+      StrategyKind::Fixed, Spec, Subspace, Order, StrategyKnobs());
+  if (!Strategy)
+    return Strategy.takeError();
   Result<StrategyRunResult> Driven = runStrategyExploration(
-      Spec, Data, Strategy, Meta, Options, Order, Generator);
+      Spec, Data, **Strategy, Meta, Options, Order, Generator);
   if (!Driven)
     return Driven.takeError();
-  // The driver reports exploration order; store by ascending size.
-  PipelineResult Run = std::move(Driven->Run);
-  if (!Order.exploreSmallestFirst())
-    std::reverse(Run.Evaluations.begin(), Run.Evaluations.end());
-  return Run;
+  return std::move(Driven->Run);
 }
 
 ExplorationSummary
@@ -37,12 +31,8 @@ wootz::summarizeExploration(const PipelineResult &Run,
   const size_t Count = Run.Evaluations.size();
   std::vector<double> Seconds(Count);
   std::vector<bool> Satisfies(Count);
-  // Evaluations are stored smallest-first; a max-Accuracy objective
-  // walks them from the other end.
-  const bool SmallestFirst = Objective.exploreSmallestFirst();
   for (size_t I = 0; I < Count; ++I) {
-    const EvaluatedConfig &E =
-        Run.Evaluations[SmallestFirst ? I : Count - 1 - I];
+    const EvaluatedConfig &E = Run.Evaluations[I];
     Seconds[I] = E.TrainSeconds;
     Satisfies[I] = Objective.satisfied(E.WeightCount, E.FinalAccuracy);
   }
@@ -58,12 +48,9 @@ wootz::summarizeExploration(const PipelineResult &Run,
   Summary.OverheadFraction =
       Summary.Seconds > 0.0 ? Summary.PretrainSeconds / Summary.Seconds
                             : 0.0;
-  if (Outcome.WinnerIndex >= 0) {
-    const size_t Index = SmallestFirst
-                             ? Outcome.WinnerIndex
-                             : Count - 1 - Outcome.WinnerIndex;
-    Summary.WinnerSizeFraction = Run.Evaluations[Index].SizeFraction;
-  }
+  if (Outcome.WinnerIndex >= 0)
+    Summary.WinnerSizeFraction =
+        Run.Evaluations[Outcome.WinnerIndex].SizeFraction;
   return Summary;
 }
 
@@ -72,17 +59,14 @@ wootz::summarizeMeasuredRun(const PipelineResult &Run,
                             const PruningObjective &Objective) {
   ExplorationSummary Summary;
   Summary.Measured = true;
-  const size_t Count = Run.Evaluations.size();
-  const bool SmallestFirst = Objective.exploreSmallestFirst();
-  for (size_t P = 0; P < Count; ++P) {
-    const size_t Index = SmallestFirst ? P : Count - 1 - P;
-    const EvaluatedConfig &E = Run.Evaluations[Index];
+  for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
+    const EvaluatedConfig &E = Run.Evaluations[I];
     if (E.Cancelled)
       continue;
     ++Summary.ConfigsEvaluated;
     if (Summary.WinnerIndex < 0 &&
         Objective.satisfied(E.WeightCount, E.FinalAccuracy)) {
-      Summary.WinnerIndex = static_cast<int>(P);
+      Summary.WinnerIndex = static_cast<int>(I);
       Summary.WinnerSizeFraction = E.SizeFraction;
     }
   }
@@ -96,4 +80,27 @@ wootz::summarizeMeasuredRun(const PipelineResult &Run,
   Summary.OverheadFraction =
       Busy > 0.0 ? Summary.PretrainSeconds / Busy : 0.0;
   return Summary;
+}
+
+/// Preference between two objective-satisfying evaluations.
+static bool preferredOver(const EvaluatedConfig &A, const EvaluatedConfig &B,
+                          const PruningObjective &Objective) {
+  if (Objective.Optimize == Metric::ModelSize)
+    return Objective.Minimize ? A.WeightCount < B.WeightCount
+                              : A.WeightCount > B.WeightCount;
+  return Objective.Minimize ? A.FinalAccuracy < B.FinalAccuracy
+                            : A.FinalAccuracy > B.FinalAccuracy;
+}
+
+int wootz::bestEvaluation(const PipelineResult &Run,
+                          const PruningObjective &Objective) {
+  int Best = -1;
+  for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
+    const EvaluatedConfig &E = Run.Evaluations[I];
+    if (E.Cancelled || !Objective.satisfied(E.WeightCount, E.FinalAccuracy))
+      continue;
+    if (Best < 0 || preferredOver(E, Run.Evaluations[Best], Objective))
+      Best = static_cast<int>(I);
+  }
+  return Best;
 }

@@ -9,12 +9,14 @@
 /// full model, (optionally) identify and pre-train tuning blocks, then
 /// evaluate every configuration of the promising subspace in exploration
 /// order — as the baseline ("default networks") or the composability-
-/// based method ("block-trained networks"). runPruningPipeline() runs the
-/// subspace as a one-round FixedSubspaceStrategy through the strategy
-/// driver (strategy/Driver.h), the only exploration loop. Per-
-/// configuration results feed summarizeExploration(), which replays the
-/// paper's multi-node schedule against an objective to produce Table
-/// 3/4/5 rows without retraining anything.
+/// based method ("block-trained networks"). runPruningPipeline() is the
+/// one-round convenience: makeStrategy(StrategyKind::Fixed) run through
+/// the strategy driver (strategy/Driver.h), the only exploration loop,
+/// returning the driver's results unchanged. Every PipelineResult lists
+/// its evaluations in exploration order, and per-configuration results
+/// feed summarizeExploration(), which replays the paper's multi-node
+/// schedule against an objective to produce Table 3/4/5 rows without
+/// retraining anything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +47,9 @@ struct EvaluatedConfig {
   std::vector<AccuracyPoint> Curve; ///< Kept when Options.KeepCurves.
   std::vector<std::string> BlocksUsed;
   /// True when the runtime cancelled this evaluation before it started
-  /// (a smaller config already satisfied Options.CancelObjective); the
-  /// accuracy/timing fields are meaningless then.
+  /// (an evaluation earlier in the exploration order already satisfied
+  /// Options.CancelObjective); the accuracy/timing fields are meaningless
+  /// then.
   bool Cancelled = false;
   /// The fine-tuned network itself, retained only when
   /// PipelineOptions::KeepNetworks — the serving layer registers the
@@ -66,7 +69,7 @@ enum class PipelineSchedule {
   /// group of its round.
   EvalOnly,
   /// Block-ready overlap: an evaluation waits only for the groups its
-  /// composite vector draws from, so early (small) configs fine-tune
+  /// composite vector draws from, so the first configs explored fine-tune
   /// while unrelated blocks still pre-train. Once a finished
   /// configuration provably satisfies Options.CancelObjective, every
   /// not-yet-started evaluation that cannot beat it is cancelled.
@@ -140,8 +143,9 @@ struct PipelineOptions {
 struct PipelineResult {
   double FullAccuracy = 0.0;
   size_t FullWeightCount = 0;
-  /// Evaluations sorted by ascending model size — the §6.2 exploration
-  /// order for the min-ModelSize objective.
+  /// Evaluations in exploration (proposal) order: for the fixed
+  /// subspace, ascending model size under min-ModelSize and descending
+  /// under max-Accuracy (§6.2). Cancelled entries stay, flagged.
   std::vector<EvaluatedConfig> Evaluations;
   /// Tuning blocks pre-trained (empty for the baseline).
   std::vector<TuningBlock> Blocks;
@@ -152,11 +156,10 @@ struct PipelineResult {
   RunTelemetry Telemetry;
 };
 
-/// Runs the pipeline for \p Subspace on \p Data: a FixedSubspaceStrategy
+/// Runs the pipeline for \p Subspace on \p Data: the fixed strategy
 /// through runStrategyExploration(), exploring in
-/// Options.CancelObjective's order (smallest first when it is null),
-/// with the evaluations then stored by ascending model size. Fails on an
-/// empty subspace before any training.
+/// Options.CancelObjective's order (smallest first when it is null).
+/// Fails on an empty subspace before any training.
 Result<PipelineResult> runPruningPipeline(const ModelSpec &Spec,
                                           const Dataset &Data,
                                           std::vector<PruneConfig> Subspace,
@@ -168,6 +171,8 @@ Result<PipelineResult> runPruningPipeline(const ModelSpec &Spec,
 struct ExplorationSummary {
   int ConfigsEvaluated = 0;
   double Seconds = 0.0; ///< Exploration makespan + pre-training share.
+  /// Index into PipelineResult::Evaluations (exploration order) of the
+  /// first configuration satisfying the objective; -1 when none did.
   int WinnerIndex = -1;
   double WinnerSizeFraction = 0.0; ///< 0 when no winner.
   double PretrainSeconds = 0.0;    ///< This run's share (already counted).
@@ -178,7 +183,8 @@ struct ExplorationSummary {
 };
 
 /// Replays the multi-node exploration schedule over \p Run's measured
-/// per-configuration times against \p Objective.
+/// per-configuration times against \p Objective, walking the
+/// evaluations in the order \p Run lists them.
 ExplorationSummary summarizeExploration(const PipelineResult &Run,
                                         const PruningObjective &Objective,
                                         int Nodes);
@@ -187,10 +193,20 @@ ExplorationSummary summarizeExploration(const PipelineResult &Run,
 /// what the runtime scheduler actually did, straight from \p Run's
 /// telemetry — makespan instead of a simulated schedule, cancelled
 /// evaluations excluded, overhead as the pre-training share of total
-/// busy time. WinnerIndex is the exploration-order position of the first
-/// non-cancelled configuration satisfying \p Objective.
+/// busy time. WinnerIndex is the first non-cancelled configuration
+/// satisfying \p Objective.
 ExplorationSummary summarizeMeasuredRun(const PipelineResult &Run,
                                         const PruningObjective &Objective);
+
+/// The winner of \p Run under \p Objective: the index into
+/// Run.Evaluations of the best non-cancelled evaluation satisfying it,
+/// in the objective's own preference (smallest WeightCount for
+/// min-ModelSize, highest accuracy for max-Accuracy; the earliest on
+/// ties), or -1 when none did. The strategy driver, the daemon's jobs,
+/// wootz_cli and the run report all name this evaluation. For a fixed
+/// min-ModelSize sweep it is the summaries' first satisfying one.
+int bestEvaluation(const PipelineResult &Run,
+                   const PruningObjective &Objective);
 
 } // namespace wootz
 

@@ -60,17 +60,19 @@ std::string wootz::renderRunReport(const PipelineResult &Run,
 
   const ExplorationSummary Summary =
       summarizeExploration(Run, Objective, Nodes);
+  const int Best = bestEvaluation(Run, Objective);
   Out += "\n## Outcome (" + std::to_string(Nodes) + " node(s))\n\n";
-  if (Summary.WinnerIndex < 0) {
+  if (Best < 0) {
     Out += "No configuration met the objective (" +
            std::to_string(Summary.ConfigsEvaluated) + " evaluated, " +
            formatDouble(Summary.Seconds, 2) + " s).\n";
   } else {
-    const EvaluatedConfig &Winner = Run.Evaluations[Summary.WinnerIndex];
+    const EvaluatedConfig &Winner = Run.Evaluations[Best];
     Out += "Winner `" + formatConfig(Winner.Config) + "`: " +
            formatDouble(100.0 * Winner.SizeFraction, 1) +
            "% of the full model, accuracy " +
-           formatDouble(Winner.FinalAccuracy, 3) + ", found after " +
+           formatDouble(Winner.FinalAccuracy, 3) +
+           "; the objective is first met after " +
            std::to_string(Summary.ConfigsEvaluated) +
            " configuration(s) in " + formatDouble(Summary.Seconds, 2) +
            " s (pre-training share " +

@@ -28,8 +28,10 @@ namespace wootz {
 std::string renderEvaluationsCsv(const PipelineResult &Run);
 
 /// Markdown report: run header (full model, pre-training stats), the
-/// evaluation table, and the winner under \p Objective at \p Nodes
-/// machines.
+/// winner under \p Objective (bestEvaluation()) with the cost of walking
+/// the evaluations in order on \p Nodes machines until the objective is
+/// first met (summarizeExploration()), and the evaluation table in
+/// exploration order.
 std::string renderRunReport(const PipelineResult &Run,
                             const PruningObjective &Objective, int Nodes);
 

@@ -173,16 +173,6 @@ private:
   size_t FullWeightCount = 0;
 };
 
-/// Preference between two objective-satisfying evaluations.
-bool preferredOver(const EvaluatedConfig &A, const EvaluatedConfig &B,
-                   const PruningObjective &Objective) {
-  if (Objective.Optimize == Metric::ModelSize)
-    return Objective.Minimize ? A.WeightCount < B.WeightCount
-                              : A.WeightCount > B.WeightCount;
-  return Objective.Minimize ? A.FinalAccuracy < B.FinalAccuracy
-                            : A.FinalAccuracy > B.FinalAccuracy;
-}
-
 } // namespace
 
 Result<StrategyRunResult> wootz::runStrategyExploration(
@@ -406,17 +396,8 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
     Run.Pretrain.LastLoss = LastLossSum / LossGroups;
   }
 
-  // The winner: best objective-satisfying evaluation in the objective's
-  // own preference; earliest proposal on ties.
-  for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
-    const EvaluatedConfig &E = Run.Evaluations[I];
-    if (E.Cancelled || !Objective.satisfied(E.WeightCount, E.FinalAccuracy))
-      continue;
-    Out.ObjectiveMet = true;
-    if (Out.WinnerIndex < 0 ||
-        preferredOver(E, Run.Evaluations[Out.WinnerIndex], Objective))
-      Out.WinnerIndex = static_cast<int>(I);
-  }
+  Out.WinnerIndex = bestEvaluation(Run, Objective);
+  Out.ObjectiveMet = Out.WinnerIndex >= 0;
 
   for (const EvaluatedConfig &E : Run.Evaluations)
     Run.EvaluationSeconds += E.TrainSeconds;

@@ -58,17 +58,16 @@ struct StrategyRoundInfo {
 
 /// Everything a strategy-driven run produced.
 struct StrategyRunResult {
-  /// The run's results with Evaluations in *proposal order* (cancelled
+  /// The run's results with Evaluations in proposal order (cancelled
   /// entries flagged); Blocks accumulates every distinct block any round
-  /// chose. runPruningPipeline re-sorts the evaluations by size.
+  /// chose.
   PipelineResult Run;
   int Rounds = 0;
   int Proposals = 0;
   int BlocksReused = 0;
   std::vector<StrategyRoundInfo> RoundsInfo;
-  /// Proposal index of the best evaluation satisfying the objective
-  /// (smallest WeightCount for min-ModelSize, highest accuracy for
-  /// max-Accuracy; ties to the earliest proposal), -1 when none did.
+  /// bestEvaluation(Run, Objective): the proposal index of the best
+  /// evaluation satisfying the objective, -1 when none did.
   int WinnerIndex = -1;
   bool ObjectiveMet = false;
 };

@@ -10,8 +10,7 @@ FixedSubspaceStrategy::FixedSubspaceStrategy(
     const ModelSpec &Spec, std::vector<PruneConfig> Subspace,
     const PruningObjective &Objective)
     : Ordered(std::move(Subspace)) {
-  // Ascending size; for a largest-first objective the reverse, so
-  // runPruningPipeline recovers ascending storage by reversing back.
+  // Ascending size; for a largest-first objective the reverse.
   std::sort(Ordered.begin(), Ordered.end(),
             [&](const PruneConfig &A, const PruneConfig &B) {
               return modelWeightCount(Spec, A) < modelWeightCount(Spec, B);

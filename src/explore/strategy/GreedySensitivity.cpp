@@ -20,8 +20,8 @@ GreedySensitivityStrategy::propose(const ObservedResults &Observed) {
 
   if (Started) {
     // Digest the previous round: commit the qualifying bump with the
-    // highest accuracy (ties go to the lowest module, like the original
-    // iterative search's strict-improvement rule).
+    // highest accuracy (only a strict improvement replaces the best, so
+    // ties go to the lowest module).
     double BestAccuracy = -1.0;
     int BestAt = -1;
     for (size_t I = 0; I < RoundModules.size(); ++I) {

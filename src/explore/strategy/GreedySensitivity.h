@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The greedy sensitivity search of explore/Iterative.h refactored
-/// behind the strategy interface. Starting from the unpruned
-/// configuration, each round proposes every single-module rate bump
-/// along the alphabet; after observing the round it commits the bump
-/// with the highest fine-tuned accuracy that stays at or above the
-/// objective's accuracy floor, and stops when no bump qualifies, the
-/// commit budget is spent, or every module sits at the heaviest rate.
-/// runIterativeExploration() is now a thin wrapper over this strategy
-/// plus the driver.
+/// Subspace-free pruning, the extension the paper flags as future work
+/// (§4): a greedy sensitivity search that generates configurations on
+/// the fly. Starting from the unpruned configuration, each round
+/// proposes every single-module rate bump along the alphabet; after
+/// observing the round it commits the bump with the highest fine-tuned
+/// accuracy that stays at or above the objective's accuracy floor, and
+/// stops when no bump qualifies, the commit budget is spent, or every
+/// module sits at the heaviest rate. Run through the driver with
+/// per-module blocks, a (module, rate) tuning block pre-trains the first
+/// time any candidate needs it and is reused by every later candidate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +48,8 @@ public:
   Result<std::vector<PruneConfig>>
   propose(const ObservedResults &Observed) override;
 
-  /// The committed trajectory so far (runIterativeExploration rebuilds
-  /// its IterativeResult from this).
+  /// The committed trajectory so far; commit I digests round I, so it
+  /// pairs with StrategyRunResult::RoundsInfo[I].
   const std::vector<Commit> &commits() const { return Commits; }
 
 private:

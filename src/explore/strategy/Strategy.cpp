@@ -55,8 +55,7 @@ wootz::makeStrategy(StrategyKind Kind, const ModelSpec &Spec,
   }
 
   // The on-the-fly strategies walk a rate alphabet instead of a
-  // subspace; validate it with the iterative search's exact rules (and
-  // messages — tests rely on them).
+  // subspace; validate it (tests rely on the messages).
   const std::vector<float> &Rates =
       Knobs.Rates.empty() ? standardRates() : Knobs.Rates;
   if (Rates.size() < 2 || Rates.front() != 0.0f)

@@ -7,6 +7,7 @@
 #include "src/support/Stopwatch.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
 using namespace wootz;
@@ -60,30 +61,42 @@ double wootz::evaluateAccuracy(const Graph &Network,
   return static_cast<double>(Sum) / Total;
 }
 
-TrainResult wootz::trainClassifierDistilled(
-    Graph &Student, const std::string &InputNode,
-    const std::string &LogitsNode, Graph &Teacher,
-    const std::string &TeacherInputNode,
-    const std::string &TeacherLogitsNode, const Dataset &Data,
-    const TrainMeta &Meta, int Steps, float LearningRate, float Alpha,
-    float Temperature, Rng &Generator) {
-  assert(Alpha >= 0.0f && Alpha <= 1.0f && "distillation weight in [0,1]");
+namespace {
+/// The teacher side of a distilled fine-tune.
+struct Distillation {
+  Graph &Teacher;
+  const std::string &InputNode;
+  const std::string &LogitsNode;
+  float Alpha;
+  float Temperature;
+};
+
+/// The one training loop: sampler, SGD with step LR decay, periodic
+/// evaluation and early stop. With \p Distill the loss gradient blends
+/// the hard labels with the teacher's soft targets.
+TrainResult trainLoop(Graph &Network, const std::string &InputNode,
+                      const std::string &LogitsNode,
+                      const Distillation *Distill, const Dataset &Data,
+                      const TrainMeta &Meta, int Steps, float LearningRate,
+                      Rng &Generator) {
   Stopwatch Timer;
   TrainResult Result;
   Result.InitialAccuracy = evaluateAccuracy(
-      Student, InputNode, LogitsNode, Data.Test, 64, Meta.EvalThreads);
+      Network, InputNode, LogitsNode, Data.Test, 64, Meta.EvalThreads);
   Result.Curve.push_back({0, Result.InitialAccuracy});
   Result.FinalAccuracy = Result.InitialAccuracy;
 
   BatchSampler Sampler(Data.Train, Meta.BatchSize, Generator.fork());
   SgdOptimizer Optimizer(LearningRate, Meta.Momentum, Meta.WeightDecay);
-  const std::vector<Param *> Params = Student.trainableParams();
-  // One context per network for the whole run reuses the hot loop's
-  // buffers across steps. The teacher may be shared by several
+  const std::vector<Param *> Params = Network.trainableParams();
+  // One context per network for the whole run: buffer reuse across
+  // steps plus move-in inputs. The teacher may be shared by several
   // concurrent fine-tunes, so only its read-only parameters are shared.
-  ExecContext StudentCtx(Student);
-  ExecContext TeacherCtx(Teacher);
-  Tensor GradHard;
+  ExecContext Ctx(Network);
+  std::optional<ExecContext> TeacherCtx;
+  if (Distill)
+    TeacherCtx.emplace(Distill->Teacher);
+  Tensor GradLogits;
   Tensor GradSoft;
 
   for (int Step = 1; Step <= Steps; ++Step) {
@@ -92,77 +105,25 @@ TrainResult wootz::trainClassifierDistilled(
       Optimizer.setLearningRate(Optimizer.learningRate() *
                                 Meta.LrDecayFactor);
     Batch Mini = Sampler.next();
-    // The teacher runs in evaluation mode: its soft targets must be
-    // stable and its running statistics untouched. It copies the batch
-    // (the student consumes it by move right after).
-    TeacherCtx.setInput(TeacherInputNode, Mini.Images);
-    TeacherCtx.forward(Teacher, /*Training=*/false);
-    StudentCtx.setInput(InputNode, std::move(Mini.Images));
-    StudentCtx.forward(Student, /*Training=*/true);
-
-    Student.zeroGrads();
-    const Tensor &StudentLogits = StudentCtx.activation(LogitsNode);
-    softmaxCrossEntropy(StudentLogits, Mini.Labels, GradHard);
-    distillationLoss(StudentLogits,
-                     TeacherCtx.activation(TeacherLogitsNode), Temperature,
-                     GradSoft);
-    for (size_t I = 0; I < GradHard.size(); ++I)
-      GradHard[I] = (1.0f - Alpha) * GradHard[I] + Alpha * GradSoft[I];
-    StudentCtx.seedGradient(LogitsNode, GradHard);
-    StudentCtx.backward(Student);
-    Optimizer.step(Params);
-
-    if (Step % Meta.EvalEvery == 0 || Step == Steps) {
-      const double Accuracy = evaluateAccuracy(
-          Student, InputNode, LogitsNode, Data.Test, 64, Meta.EvalThreads);
-      Result.Curve.push_back({Step, Accuracy});
-      if (Accuracy > Result.FinalAccuracy) {
-        Result.FinalAccuracy = Accuracy;
-        Result.StepsToBest = Step;
-      } else if (Meta.EarlyStopPatience > 0 &&
-                 Step - Result.StepsToBest >=
-                     Meta.EarlyStopPatience * Meta.EvalEvery) {
-        break;
-      }
+    if (Distill) {
+      // The teacher runs in evaluation mode: its soft targets must be
+      // stable and its running statistics untouched. It copies the batch
+      // (the student consumes it by move right after).
+      TeacherCtx->setInput(Distill->InputNode, Mini.Images);
+      TeacherCtx->forward(Distill->Teacher, /*Training=*/false);
     }
-  }
-  Result.Seconds = Timer.seconds();
-  return Result;
-}
-
-TrainResult wootz::trainClassifier(Graph &Network,
-                                   const std::string &InputNode,
-                                   const std::string &LogitsNode,
-                                   const Dataset &Data,
-                                   const TrainMeta &Meta, int Steps,
-                                   float LearningRate, Rng &Generator) {
-  Stopwatch Timer;
-  TrainResult Result;
-  Result.InitialAccuracy = evaluateAccuracy(
-      Network, InputNode, LogitsNode, Data.Test, 64, Meta.EvalThreads);
-  Result.Curve.push_back({0, Result.InitialAccuracy});
-  Result.FinalAccuracy = Result.InitialAccuracy;
-  Result.StepsToBest = 0;
-
-  BatchSampler Sampler(Data.Train, Meta.BatchSize, Generator.fork());
-  SgdOptimizer Optimizer(LearningRate, Meta.Momentum, Meta.WeightDecay);
-  const std::vector<Param *> Params = Network.trainableParams();
-  // One context for the whole run: buffer reuse across steps plus
-  // move-in inputs.
-  ExecContext Ctx(Network);
-  Tensor GradLogits;
-
-  for (int Step = 1; Step <= Steps; ++Step) {
-    if (Meta.LrDecayEvery > 0 && Step > 1 &&
-        (Step - 1) % Meta.LrDecayEvery == 0)
-      Optimizer.setLearningRate(Optimizer.learningRate() *
-                                Meta.LrDecayFactor);
-    Batch Mini = Sampler.next();
     Ctx.setInput(InputNode, std::move(Mini.Images));
     Ctx.forward(Network, /*Training=*/true);
     Network.zeroGrads();
-    softmaxCrossEntropy(Ctx.activation(LogitsNode), Mini.Labels,
-                        GradLogits);
+    const Tensor &Logits = Ctx.activation(LogitsNode);
+    softmaxCrossEntropy(Logits, Mini.Labels, GradLogits);
+    if (Distill) {
+      distillationLoss(Logits, TeacherCtx->activation(Distill->LogitsNode),
+                       Distill->Temperature, GradSoft);
+      const float Alpha = Distill->Alpha;
+      for (size_t I = 0; I < GradLogits.size(); ++I)
+        GradLogits[I] = (1.0f - Alpha) * GradLogits[I] + Alpha * GradSoft[I];
+    }
     Ctx.seedGradient(LogitsNode, GradLogits);
     Ctx.backward(Network);
     Optimizer.step(Params);
@@ -185,4 +146,29 @@ TrainResult wootz::trainClassifier(Graph &Network,
   }
   Result.Seconds = Timer.seconds();
   return Result;
+}
+} // namespace
+
+TrainResult wootz::trainClassifierDistilled(
+    Graph &Student, const std::string &InputNode,
+    const std::string &LogitsNode, Graph &Teacher,
+    const std::string &TeacherInputNode,
+    const std::string &TeacherLogitsNode, const Dataset &Data,
+    const TrainMeta &Meta, int Steps, float LearningRate, float Alpha,
+    float Temperature, Rng &Generator) {
+  assert(Alpha >= 0.0f && Alpha <= 1.0f && "distillation weight in [0,1]");
+  const Distillation Distill{Teacher, TeacherInputNode, TeacherLogitsNode,
+                             Alpha, Temperature};
+  return trainLoop(Student, InputNode, LogitsNode, &Distill, Data, Meta,
+                   Steps, LearningRate, Generator);
+}
+
+TrainResult wootz::trainClassifier(Graph &Network,
+                                   const std::string &InputNode,
+                                   const std::string &LogitsNode,
+                                   const Dataset &Data,
+                                   const TrainMeta &Meta, int Steps,
+                                   float LearningRate, Rng &Generator) {
+  return trainLoop(Network, InputNode, LogitsNode, nullptr, Data, Meta,
+                   Steps, LearningRate, Generator);
 }

@@ -14,8 +14,11 @@
 ///   2. parseSubspaceSpec() / sampleSubspace() the promising subspace.
 ///   3. parseTrainMeta() the solver-style meta data and parseObjective()
 ///      the pruning objective.
-///   4. runPruningPipeline() with UseComposability on or off, then
-///      summarizeExploration() to pick the best network.
+///   4. runPruningPipeline() with UseComposability on or off (or
+///      makeStrategy() + runStrategyExploration() for the on-the-fly
+///      strategies), then summarizeExploration() to pick the best
+///      network. Evaluations are listed in exploration order, which is
+///      the order every WinnerIndex counts in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +31,6 @@
 #include "src/compiler/NetsFactory.h"
 #include "src/compiler/Solver.h"
 #include "src/data/Synthetic.h"
-#include "src/explore/Iterative.h"
 #include "src/explore/Pipeline.h"
 #include "src/explore/Report.h"
 #include "src/explore/strategy/Driver.h"

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace wootz;
 
 namespace {
@@ -162,9 +164,10 @@ TEST(ClusterTest, TaskAssignmentFileFormat) {
 
 namespace {
 
-/// Builds a synthetic PipelineResult with known per-config outcomes
-/// (smallest-first storage, as runPruningPipeline produces).
-static PipelineResult syntheticRun() {
+/// Builds a synthetic PipelineResult with known per-config outcomes,
+/// listed in exploration order: smallest first, or largest first when
+/// \p LargestFirst (the max-Accuracy order).
+static PipelineResult syntheticRun(bool LargestFirst = false) {
   PipelineResult Run;
   Run.FullAccuracy = 0.9;
   Run.FullWeightCount = 1000;
@@ -180,6 +183,8 @@ static PipelineResult syntheticRun() {
     E.TrainSeconds = 1.0;
     Run.Evaluations.push_back(E);
   }
+  if (LargestFirst)
+    std::reverse(Run.Evaluations.begin(), Run.Evaluations.end());
   return Run;
 }
 
@@ -192,10 +197,12 @@ TEST(SummaryOrderTest, MinModelSizeWalksSmallestFirst) {
   EXPECT_EQ(Summary.WinnerIndex, 2);
   EXPECT_EQ(Summary.ConfigsEvaluated, 3);
   EXPECT_DOUBLE_EQ(Summary.WinnerSizeFraction, 0.5);
+  // The smallest satisfying evaluation is also the first one.
+  EXPECT_EQ(bestEvaluation(Run, Objective), 2);
 }
 
 TEST(SummaryOrderTest, MaxAccuracyWalksLargestFirst) {
-  const PipelineResult Run = syntheticRun();
+  const PipelineResult Run = syntheticRun(/*LargestFirst=*/true);
   Result<PruningObjective> Objective = parseObjective(
       "max Accuracy\nconstraint ModelSize <= 750\n");
   ASSERT_TRUE(static_cast<bool>(Objective));
@@ -206,6 +213,9 @@ TEST(SummaryOrderTest, MaxAccuracyWalksLargestFirst) {
   EXPECT_EQ(Summary.WinnerIndex, 1);
   EXPECT_EQ(Summary.ConfigsEvaluated, 2);
   EXPECT_DOUBLE_EQ(Summary.WinnerSizeFraction, 0.7);
+  EXPECT_EQ(Run.Evaluations[Summary.WinnerIndex].WeightCount, 700u);
+  // It is also the most accurate evaluation under the size cap.
+  EXPECT_EQ(bestEvaluation(Run, *Objective), 1);
 }
 
 TEST(SummaryOrderTest, NoWinnerReportsEverything) {
@@ -214,6 +224,7 @@ TEST(SummaryOrderTest, NoWinnerReportsEverything) {
   const ExplorationSummary Summary =
       summarizeExploration(Run, Objective, 2);
   EXPECT_EQ(Summary.WinnerIndex, -1);
+  EXPECT_EQ(bestEvaluation(Run, Objective), -1);
   EXPECT_EQ(Summary.ConfigsEvaluated, 5);
   EXPECT_DOUBLE_EQ(Summary.WinnerSizeFraction, 0.0);
 }

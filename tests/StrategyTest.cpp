@@ -1,9 +1,11 @@
 //===- tests/StrategyTest.cpp - exploration-strategy tests ------------------===//
 //
 // Covers the explore/strategy/ subsystem: name parsing (unknown names
-// list the valid ones), what runPruningPipeline adds on top of the
-// driver (ascending-size storage, exploration position to storage index,
-// the baseline without blocks), the determinism contract (replaying any
+// list the valid ones), runPruningPipeline as a one-round driver run
+// (evaluations listed in exploration order, so every WinnerIndex and the
+// report name the right configuration; the baseline without blocks),
+// the greedy subspace-free search (commits, block reuse across rounds,
+// stopping rules), the determinism contract (replaying any
 // strategy against the recorded observation sequence proposes identical
 // configurations; EvalOnly runs are bit-identical for any Workers value;
 // block groups are numbered across rounds), the adaptive explorer under
@@ -91,8 +93,27 @@ TEST(StrategyKnobsTest, RejectsDegenerateInputs) {
   ASSERT_FALSE(static_cast<bool>(Empty));
   EXPECT_NE(Empty.message().find("subspace"), std::string::npos);
 
-  // The on-the-fly strategies validate the rate alphabet and the round
-  // budget with the iterative search's messages.
+  // The on-the-fly strategies validate the round budget.
+  const std::vector<PruneConfig> Subspace = {
+      PruneConfig(static_cast<size_t>(Spec->moduleCount()), 0.5f)};
+  for (StrategyKind Kind : {StrategyKind::Greedy, StrategyKind::Adaptive}) {
+    StrategyKnobs NoRounds;
+    NoRounds.Rates = {0.0f, 0.5f};
+    NoRounds.MaxRounds = 0;
+    Result<std::unique_ptr<ExplorationStrategy>> Zero =
+        makeStrategy(Kind, *Spec, Subspace, Objective, NoRounds);
+    ASSERT_FALSE(static_cast<bool>(Zero));
+    EXPECT_NE(Zero.message().find("MaxRounds"), std::string::npos);
+  }
+}
+
+TEST(StrategyKnobsTest, RejectsBadRateAlphabets) {
+  Result<ModelSpec> Spec = makeStandardModel(StandardModel::ResNetA, 4);
+  ASSERT_TRUE(static_cast<bool>(Spec)) << Spec.message();
+  const PruningObjective Objective = smallestMeetingAccuracy(0.5);
+
+  // The on-the-fly strategies need an ascending alphabet that starts at
+  // the unpruned 0 and holds at least one pruned rate.
   const std::vector<PruneConfig> Subspace = {
       PruneConfig(static_cast<size_t>(Spec->moduleCount()), 0.5f)};
   for (StrategyKind Kind : {StrategyKind::Greedy, StrategyKind::Adaptive}) {
@@ -109,13 +130,12 @@ TEST(StrategyKnobsTest, RejectsDegenerateInputs) {
     ASSERT_FALSE(static_cast<bool>(Unsorted));
     EXPECT_NE(Unsorted.message().find("ascending"), std::string::npos);
 
-    StrategyKnobs NoRounds;
-    NoRounds.Rates = {0.0f, 0.5f};
-    NoRounds.MaxRounds = 0;
-    Result<std::unique_ptr<ExplorationStrategy>> Zero =
-        makeStrategy(Kind, *Spec, Subspace, Objective, NoRounds);
-    ASSERT_FALSE(static_cast<bool>(Zero));
-    EXPECT_NE(Zero.message().find("MaxRounds"), std::string::npos);
+    Bad.Rates = {0.0f}; // No pruned rate.
+    Result<std::unique_ptr<ExplorationStrategy>> Unpruned =
+        makeStrategy(Kind, *Spec, Subspace, Objective, Bad);
+    ASSERT_FALSE(static_cast<bool>(Unpruned));
+    EXPECT_NE(Unpruned.message().find("at least one pruned rate"),
+              std::string::npos);
   }
 }
 
@@ -168,6 +188,15 @@ protected:
     return Options;
   }
 
+  /// Greedy knobs: the rate alphabet \p Rates and \p MaxRounds commits.
+  static StrategyKnobs greedyKnobs(std::vector<float> Rates,
+                                   int MaxRounds) {
+    StrategyKnobs Knobs;
+    Knobs.Rates = std::move(Rates);
+    Knobs.MaxRounds = MaxRounds;
+    return Knobs;
+  }
+
   std::unique_ptr<ExplorationStrategy> build(StrategyKind Kind,
                                              int MaxRounds = 4) const {
     StrategyKnobs Knobs;
@@ -201,36 +230,39 @@ void expectIdenticalEvaluations(const std::vector<EvaluatedConfig> &A,
   }
 }
 
-/// Expects \p Run to store exactly the configurations of \p Subspace, in
-/// ascending model size.
-void expectAscendingStorage(const PipelineResult &Run,
-                            const std::vector<PruneConfig> &Subspace) {
+/// Expects \p Run to list exactly the configurations of \p Subspace, in
+/// ascending model size (the min-ModelSize exploration order).
+void expectAscendingOrder(const PipelineResult &Run,
+                          const std::vector<PruneConfig> &Subspace) {
   ASSERT_EQ(Run.Evaluations.size(), Subspace.size());
-  std::vector<PruneConfig> Stored;
+  std::vector<PruneConfig> Listed;
   for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
-    Stored.push_back(Run.Evaluations[I].Config);
+    Listed.push_back(Run.Evaluations[I].Config);
     if (I > 0) {
       EXPECT_LE(Run.Evaluations[I - 1].WeightCount,
                 Run.Evaluations[I].WeightCount)
-          << "storage index " << I;
+          << "evaluation " << I;
     }
   }
   std::vector<PruneConfig> Expected = Subspace;
-  std::sort(Stored.begin(), Stored.end());
+  std::sort(Listed.begin(), Listed.end());
   std::sort(Expected.begin(), Expected.end());
-  EXPECT_EQ(Stored, Expected);
+  EXPECT_EQ(Listed, Expected);
 }
 
-TEST_F(StrategyDriverFixture, PipelineStoresBySizeAndMapsPositions) {
-  // runPruningPipeline runs the fixed subspace through the strategy
-  // driver, which reports proposals in exploration order, and stores
-  // the evaluations by ascending model size. A max-Accuracy objective
-  // explores largest-first, so exploration position P lives at storage
-  // index Count - 1 - P.
+TEST_F(StrategyDriverFixture, MaxAccuracyPipelineListsLargestFirst) {
+  // A max-Accuracy objective explores largest-first, and the pipeline
+  // returns the driver's evaluations in that order, so the summary's
+  // WinnerIndex and the report both name the configuration that ran.
   PruningObjective MaxAccuracy;
   MaxAccuracy.Optimize = Metric::Accuracy;
   MaxAccuracy.Minimize = false;
   ASSERT_FALSE(MaxAccuracy.exploreSmallestFirst());
+  const PruneConfig Largest = *std::max_element(
+      Subspace.begin(), Subspace.end(),
+      [&](const PruneConfig &A, const PruneConfig &B) {
+        return modelWeightCount(Spec, A) < modelWeightCount(Spec, B);
+      });
 
   PipelineOptions Options;
   Options.UseComposability = true;
@@ -241,22 +273,16 @@ TEST_F(StrategyDriverFixture, PipelineStoresBySizeAndMapsPositions) {
   Result<PipelineResult> Run =
       runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator);
   ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
-  expectAscendingStorage(*Run, Subspace);
+  ASSERT_EQ(Run->Evaluations.size(), Subspace.size());
+  EXPECT_EQ(Run->Evaluations[0].Config, Largest);
 
   // The unconstrained objective is met by the first configuration
   // explored, the largest; one worker runs it before anything else it
   // could race, and it cancels every other evaluation.
-  const size_t Count = Subspace.size();
-  for (size_t I = 0; I + 1 < Count; ++I)
-    EXPECT_TRUE(Run->Evaluations[I].Cancelled) << "storage index " << I;
-  EXPECT_FALSE(Run->Evaluations.back().Cancelled);
-  EXPECT_GT(Run->Evaluations.back().FinalAccuracy, 0.0);
-  const ExplorationSummary Summary = summarizeMeasuredRun(*Run, MaxAccuracy);
-  EXPECT_EQ(Summary.ConfigsEvaluated, 1);
-  EXPECT_EQ(Summary.WinnerIndex, 0);
-  EXPECT_EQ(Summary.WinnerSizeFraction,
-            Run->Evaluations.back().SizeFraction);
-  // The span of exploration position 0 is the one that ran.
+  EXPECT_FALSE(Run->Evaluations[0].Cancelled);
+  EXPECT_GT(Run->Evaluations[0].FinalAccuracy, 0.0);
+  for (size_t I = 1; I < Run->Evaluations.size(); ++I)
+    EXPECT_TRUE(Run->Evaluations[I].Cancelled) << "evaluation " << I;
   size_t DoneEvals = 0;
   for (const SpanEvent &Span : Run->Telemetry.Spans)
     if (Span.Kind == "eval" && Span.Status == "done") {
@@ -264,11 +290,20 @@ TEST_F(StrategyDriverFixture, PipelineStoresBySizeAndMapsPositions) {
       EXPECT_EQ(Span.Name, "eval:0");
     }
   EXPECT_EQ(DoneEvals, 1u);
+
+  const ExplorationSummary Summary = summarizeMeasuredRun(*Run, MaxAccuracy);
+  EXPECT_EQ(Summary.ConfigsEvaluated, 1);
+  EXPECT_EQ(Summary.WinnerIndex, 0);
+  EXPECT_EQ(Summary.WinnerSizeFraction, Run->Evaluations[0].SizeFraction);
+  const std::string Report = renderRunReport(*Run, MaxAccuracy, 1);
+  EXPECT_NE(Report.find("Winner `" + formatConfig(Largest) + "`"),
+            std::string::npos)
+      << Report;
 }
 
 TEST_F(StrategyDriverFixture, BaselinePipelineTrainsNoBlocks) {
   // Without composability the pipeline fine-tunes default networks: no
-  // blocks, no pre-training, every configuration evaluated and stored
+  // blocks, no pre-training, every configuration evaluated and listed
   // by ascending size.
   PipelineOptions Options;
   Options.UseComposability = false;
@@ -277,7 +312,7 @@ TEST_F(StrategyDriverFixture, BaselinePipelineTrainsNoBlocks) {
   Result<PipelineResult> Run =
       runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator);
   ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
-  expectAscendingStorage(*Run, Subspace);
+  expectAscendingOrder(*Run, Subspace);
   EXPECT_TRUE(Run->Blocks.empty());
   EXPECT_EQ(Run->Pretrain.BlockCount, 0);
   EXPECT_EQ(Run->Pretrain.GroupCount, 0);
@@ -402,12 +437,8 @@ TEST_F(StrategyDriverFixture, AdaptiveOverlapCancelsAndWarmCacheIsBitExact) {
 }
 
 TEST_F(StrategyDriverFixture, GreedyReportsCommitsAndReuse) {
-  GreedySensitivityStrategy Strategy(Spec, Objective, [&] {
-    StrategyKnobs Knobs;
-    Knobs.Rates = {0.0f, 0.3f, 0.5f};
-    Knobs.MaxRounds = 2;
-    return Knobs;
-  }());
+  GreedySensitivityStrategy Strategy(Spec, Objective,
+                                     greedyKnobs({0.0f, 0.3f, 0.5f}, 2));
   Rng Generator(11);
   Result<StrategyRunResult> Search = runStrategyExploration(
       Spec, Data, Strategy, Meta, evalOnlyOptions(), Objective, Generator);
@@ -424,6 +455,93 @@ TEST_F(StrategyDriverFixture, GreedyReportsCommitsAndReuse) {
   EXPECT_GT(Search->RoundsInfo[1].BlocksReused, 0);
   EXPECT_EQ(Search->Run.Telemetry.counter("strategy.blocks_reused"),
             Search->BlocksReused);
+
+  // The report names the search's winner, the smallest evaluation, not
+  // the first proposal that met the objective.
+  ASSERT_GT(Search->WinnerIndex, 0);
+  const std::string Winner =
+      formatConfig(Search->Run.Evaluations[Search->WinnerIndex].Config);
+  EXPECT_NE(renderRunReport(Search->Run, Objective, 1)
+                .find("Winner `" + Winner + "`"),
+            std::string::npos);
+}
+
+TEST_F(StrategyDriverFixture, GreedySearchShrinksTheModel) {
+  const PruningObjective AcceptAll = smallestMeetingAccuracy(0.0);
+  GreedySensitivityStrategy Strategy(Spec, AcceptAll,
+                                     greedyKnobs({0.0f, 0.5f}, 3));
+  Rng Generator(2);
+  Result<StrategyRunResult> Search = runStrategyExploration(
+      Spec, Data, Strategy, Meta, evalOnlyOptions(), AcceptAll, Generator);
+  ASSERT_TRUE(static_cast<bool>(Search)) << Search.message();
+  // Accepting everything spends the whole budget: 3 commits.
+  const std::vector<GreedySensitivityStrategy::Commit> &Commits =
+      Strategy.commits();
+  ASSERT_EQ(Commits.size(), 3u);
+  // Weight counts shrink monotonically along the trajectory.
+  size_t Previous = Search->Run.FullWeightCount;
+  for (const GreedySensitivityStrategy::Commit &C : Commits) {
+    const size_t Weights = Search->Run.Evaluations[C.ObservedIndex].WeightCount;
+    EXPECT_LT(Weights, Previous);
+    Previous = Weights;
+  }
+  EXPECT_EQ(modelWeightCount(Spec, Commits.back().Config), Previous);
+  // Each committed step bumps exactly one module.
+  EXPECT_EQ(Commits[0].Rate, 0.5f);
+}
+
+TEST_F(StrategyDriverFixture, BlockReuseGrowsAcrossIterations) {
+  const PruningObjective AcceptAll = smallestMeetingAccuracy(0.0);
+  GreedySensitivityStrategy Strategy(Spec, AcceptAll,
+                                     greedyKnobs({0.0f, 0.5f}, 3));
+  Rng Generator(3);
+  Result<StrategyRunResult> Search = runStrategyExploration(
+      Spec, Data, Strategy, Meta, evalOnlyOptions(), AcceptAll, Generator);
+  ASSERT_TRUE(static_cast<bool>(Search)) << Search.message();
+  ASSERT_GE(Search->RoundsInfo.size(), 2u);
+  // Only one block per (module, rate) pair ever trains; every other
+  // appearance is a reuse — the harvested composability.
+  int BlocksTrained = 0;
+  for (const StrategyRoundInfo &Round : Search->RoundsInfo)
+    BlocksTrained += Round.BlocksTrained;
+  EXPECT_LE(BlocksTrained, Spec.moduleCount()); // 4 variants at rate 0.5.
+  EXPECT_GT(Search->BlocksReused, 0);
+  // Round 1's candidates each train their own fresh block; by round 2
+  // the committed module's block is a guaranteed reuse.
+  EXPECT_GT(Search->RoundsInfo[1].BlocksReused,
+            Search->RoundsInfo[0].BlocksReused);
+}
+
+TEST_F(StrategyDriverFixture, UnreachableThresholdStopsImmediately) {
+  const PruningObjective Impossible = smallestMeetingAccuracy(1.1);
+  GreedySensitivityStrategy Strategy(Spec, Impossible,
+                                     greedyKnobs({0.0f, 0.7f}, 4));
+  Rng Generator(4);
+  Result<StrategyRunResult> Search = runStrategyExploration(
+      Spec, Data, Strategy, Meta, evalOnlyOptions(), Impossible, Generator);
+  ASSERT_TRUE(static_cast<bool>(Search)) << Search.message();
+  // The first round's bumps all miss the floor: nothing is committed,
+  // so the search ends at the unpruned model after that round.
+  EXPECT_TRUE(Strategy.commits().empty());
+  EXPECT_EQ(Search->RoundsInfo.size(), 1u);
+  EXPECT_EQ(Search->WinnerIndex, -1);
+}
+
+TEST_F(StrategyDriverFixture, StopsAtRateAlphabetCeiling) {
+  const PruningObjective AcceptAll = smallestMeetingAccuracy(0.0);
+  // More commits allowed than modules * bumps available.
+  GreedySensitivityStrategy Strategy(Spec, AcceptAll,
+                                     greedyKnobs({0.0f, 0.7f}, 100));
+  Rng Generator(5);
+  Result<StrategyRunResult> Search = runStrategyExploration(
+      Spec, Data, Strategy, Meta, evalOnlyOptions(), AcceptAll, Generator);
+  ASSERT_TRUE(static_cast<bool>(Search)) << Search.message();
+  // Every module can be bumped exactly once.
+  const std::vector<GreedySensitivityStrategy::Commit> &Commits =
+      Strategy.commits();
+  ASSERT_EQ(Commits.size(), static_cast<size_t>(Spec.moduleCount()));
+  for (float Rate : Commits.back().Config)
+    EXPECT_FLOAT_EQ(Rate, 0.7f);
 }
 
 TEST_F(StrategyDriverFixture, EvalOnlyNumbersGroupsAcrossRounds) {
@@ -433,12 +551,8 @@ TEST_F(StrategyDriverFixture, EvalOnlyNumbersGroupsAcrossRounds) {
   std::vector<int64_t> TasksDone;
   for (PipelineSchedule Schedule :
        {PipelineSchedule::EvalOnly, PipelineSchedule::Overlap}) {
-    GreedySensitivityStrategy Strategy(Spec, Objective, [&] {
-      StrategyKnobs Knobs;
-      Knobs.Rates = {0.0f, 0.3f, 0.5f};
-      Knobs.MaxRounds = 3;
-      return Knobs;
-    }());
+    GreedySensitivityStrategy Strategy(Spec, Objective,
+                                       greedyKnobs({0.0f, 0.3f, 0.5f}, 3));
     PipelineOptions Options = evalOnlyOptions();
     Options.Schedule = Schedule;
     Rng Generator(11);
